@@ -315,14 +315,14 @@ func BenchmarkScoreBatch1(b *testing.B)  { benchmarkScoreBatch(b, 1) }
 func BenchmarkScoreBatch8(b *testing.B)  { benchmarkScoreBatch(b, 8) }
 func BenchmarkScoreBatch64(b *testing.B) { benchmarkScoreBatch(b, 64) }
 
-// BenchmarkScoreBatchWide256 drives the cache-blocked wide-batch path:
-// one B=256 ScoreBatch per step through the column-tiled kernels. At the
-// bench environment's quarter scale the auto policy leaves B=256 untiled
-// (the cache-model tile is as wide as the batch), so the request forces a
-// 64-column width — the explicit-width contract is bit-identical to auto
-// and runs the same tile retirement and coalescing the full-scale
-// BENCH_diffuse.json batch_wide rows measure. Under -benchtime 1x this
-// doubles as the CI smoke of the tiled kernels.
+// BenchmarkScoreBatchWide256 drives the multi-tile column plan: one B=256
+// ScoreBatch per step split into column tiles. At the bench environment's
+// quarter scale the auto policy runs B=256 as one tile (the cache-model
+// tile is as wide as the batch), so the request forces a 64-column width —
+// the explicit-width contract is bit-identical to auto and runs the same
+// per-tile retirement and coalescing the full-scale BENCH_diffuse.json
+// batch_wide rows measure. Under -benchtime 1x this doubles as the CI
+// smoke of the sweep driver's multi-tile path.
 func BenchmarkScoreBatchWide256(b *testing.B) { benchmarkScoreBatchTiled(b, 256, 64) }
 
 // BenchmarkWalkIndexWarm measures the walk-index serving path: one B=1

@@ -17,10 +17,11 @@
 // sequential baseline of B independent FastNodeScores calls; the batch=64
 // row is the ScoreBatch amortization acceptance number.
 //
-// Batch_wide rows (B=256/512) compare the legacy untiled column kernels
-// against the auto column-tiled + SIMD path on the Parallel engine over
-// the projected wide relevance signal; outputs are bit-identical and the
-// B=512 row carries the ≥1.3× tiling acceptance bar. The gs row compares
+// Batch_wide rows (B=256/512) compare the forced one-tile column plan
+// (ColTile = B) against the auto column-tiled plan on the Parallel engine
+// over the projected wide relevance signal; both sides run the same
+// kernels and outputs are bit-identical, so the ratio isolates the L2
+// residency effect of tiling. The gs row compares
 // the multi-color Gauss–Seidel engine's sweep count against the Parallel
 // engine's block-Jacobi rounds at the same tolerance (bar: ≤0.8×) and its
 // tight-tolerance scores against the Synchronous reference (bar: ≤1e-9).
@@ -74,11 +75,6 @@
 // fraction carries the instrumentation acceptance bar (≤3% ns/query) and
 // is gated absolutely — no baseline row needed, both sides are measured
 // back-to-back in this run.
-//
-// The apply_row_affine rows re-run the kernel-unrolling comparison behind
-// graph.Transition.ApplyRowAffine (shipped 4-edge-unrolled; the historical
-// 2-edge kernel is kept as ApplyRowAffine2) so the snapshot records why the
-// shipped kernel was chosen on the recording hardware.
 //
 // With -baseline, the freshly measured snapshot is gated against a
 // committed one and the command exits non-zero when a Parallel-engine,
@@ -174,14 +170,6 @@ type priorityResult struct {
 	MeanBatchPri     float64 `json:"mean_batch_priority"`
 }
 
-// kernelResult records one ApplyRowAffine unrolling variant at one batch
-// width: ns for a full pass over every CSR row of the snapshot graph.
-type kernelResult struct {
-	Kernel  string `json:"kernel"` // "unroll2" (historical) or "unroll4" (shipped)
-	Batch   int    `json:"batch"`
-	NsPerOp int64  `json:"ns_per_op"`
-}
-
 // shardResult records one multi-tenant sharding configuration: T tenant
 // graphs diffusing concurrently over partitioned shards on one worker
 // pool, against the single-CSR status quo on the identical workload. The
@@ -236,18 +224,17 @@ type topKResult struct {
 	Agreement      float64 `json:"agreement"`
 }
 
-// batchWideResult records one wide-batch width of the column-tiled kernel
+// batchWideResult records one wide-batch width of the column-plan
 // comparison: the Parallel engine diffusing the projected B-query
-// relevance signal with tiling disabled (ColTile -1, the legacy untiled
-// path) and with the auto policy (ColTile 0, which engages at these
-// widths). Both runs are bit-identical in results; the row records the
-// throughput gap, and the B=512 row carries the tiling acceptance bar
-// (tiled ≥ 1.3× untiled ns/query).
+// relevance signal as one tile spanning the batch (ColTile = B) and with
+// the auto policy (ColTile 0, which tiles at these widths). Both runs use
+// the same kernels and are bit-identical in results; the row records what
+// the L2-sized tiles buy.
 type batchWideResult struct {
 	Batch             int     `json:"batch"`
 	Engine            string  `json:"engine"`
 	TileWidth         int     `json:"tile_width"` // auto-picked by the cache model
-	UntiledNsPerQuery int64   `json:"untiled_ns_per_query"`
+	OneTileNsPerQuery int64   `json:"one_tile_ns_per_query"`
 	TiledNsPerQuery   int64   `json:"tiled_ns_per_query"`
 	Speedup           float64 `json:"speedup"`
 	Sweeps            int     `json:"sweeps"`
@@ -334,8 +321,8 @@ type snapshot struct {
 	Seed       uint64         `json:"seed"`
 	Engines    []engineResult `json:"engines"`
 	ScoreBatch []batchResult  `json:"score_batch"`
-	// BatchWide records the column-tiled wide-batch rows; the B=512 row
-	// carries the ≥1.3× tiled-vs-untiled acceptance number.
+	// BatchWide records the wide-batch column-plan rows (auto tiles vs
+	// one tile).
 	BatchWide []batchWideResult `json:"batch_wide"`
 	// GS records the multi-color Gauss–Seidel engine row; it carries the
 	// sweeps ≤ 0.8× Parallel-rounds and ≤1e-9-vs-Synchronous acceptance
@@ -363,10 +350,6 @@ type snapshot struct {
 	// Telemetry records the instrumentation overhead row; OverheadFrac is
 	// gated absolutely at maxTelemetryOverhead (≤3% ns/query).
 	Telemetry []telemetryResult `json:"telemetry"`
-	// ApplyRowAffine records the kernel-unrolling evaluation; Kernel
-	// "unroll4" is the shipped ApplyRowAffine, "unroll2" the historical
-	// variant kept as ApplyRowAffine2.
-	ApplyRowAffine []kernelResult `json:"apply_row_affine"`
 }
 
 func main() {
@@ -554,14 +537,12 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		snap.ScoreBatch = append(snap.ScoreBatch, br)
 	}
 
-	// Wide-batch tiled rows: the Parallel engine diffusing the projected
-	// B-query relevance signal (the same x_j[v] = e_qj · E0[v] construction
-	// ScoreBatch diffuses) with tiling disabled — the legacy untiled path,
-	// byte-for-byte the pre-tiling kernel — and with the auto column-tile
-	// policy, which engages at these widths and also routes the compute
-	// through the SIMD affine and residual kernels. Outputs are
-	// bit-identical; the rows record the throughput gap at serving batch
-	// widths and the B=512 row carries the tiling acceptance bar.
+	// Wide-batch column-plan rows: the Parallel engine diffusing the
+	// projected B-query relevance signal (the same x_j[v] = e_qj · E0[v]
+	// construction ScoreBatch diffuses) as one tile spanning the batch and
+	// with the auto column-tile policy, which engages at these widths.
+	// Same kernels, bit-identical outputs; the rows record what L2-sized
+	// tiles buy at wide batch widths.
 	nodes := env.Graph.NumNodes()
 	wideX := vecmath.NewMatrix(nodes, len(queries))
 	for u := 0; u < nodes; u++ {
@@ -575,7 +556,7 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		sub := vecmath.SelectColumns(wideX, idx)
 		var perQuery [2]int64
 		var sweeps int
-		for i, ct := range []int{-1, 0} {
+		for i, ct := range []int{bw, 0} {
 			p := params
 			p.ColTile = ct
 			_, st, err := diffuse.RunSignal(diffuse.EngineParallel, tr, diffuse.NewSignal(sub), p, seed)
@@ -596,15 +577,15 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 			Batch:             bw,
 			Engine:            "parallel",
 			TileWidth:         diffuse.AutoTileWidth(nodes, bw),
-			UntiledNsPerQuery: perQuery[0],
+			OneTileNsPerQuery: perQuery[0],
 			TiledNsPerQuery:   perQuery[1],
 			Sweeps:            sweeps,
 		}
 		if wr.TiledNsPerQuery > 0 {
-			wr.Speedup = float64(wr.UntiledNsPerQuery) / float64(wr.TiledNsPerQuery)
+			wr.Speedup = float64(wr.OneTileNsPerQuery) / float64(wr.TiledNsPerQuery)
 		}
-		fmt.Printf("batchwide-%-4d %12d ns/query untiled %8d ns/query tiled (T=%d, speedup %.2fx)\n",
-			wr.Batch, wr.UntiledNsPerQuery, wr.TiledNsPerQuery, wr.TileWidth, wr.Speedup)
+		fmt.Printf("batchwide-%-4d %12d ns/query one tile %8d ns/query tiled (T=%d, speedup %.2fx)\n",
+			wr.Batch, wr.OneTileNsPerQuery, wr.TiledNsPerQuery, wr.TileWidth, wr.Speedup)
 		snap.BatchWide = append(snap.BatchWide, wr)
 	}
 
@@ -700,42 +681,6 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 	fmt.Printf("telemetry-%-5d %12d ns/query bare %8d ns/query instrumented  overhead=%+.2f%%\n",
 		telem.Batch, telem.BaseNsPerQuery, telem.InstrNsPerQuery, 100*telem.OverheadFrac)
 	snap.Telemetry = append(snap.Telemetry, telem)
-
-	// ApplyRowAffine kernel evaluation (the ROADMAP profile-guided-kernel
-	// item): one full pass over every CSR row at each serving batch width,
-	// for the shipped 4-edge unroll and the historical 2-edge kernel it
-	// replaced. The snapshot keeps justifying the shipped choice on the
-	// recording hardware.
-	for _, bw := range []int{1, 8, 64} {
-		src := vecmath.NewMatrix(env.Graph.NumNodes(), bw)
-		for u := 0; u < env.Graph.NumNodes(); u++ {
-			row := src.Row(u)
-			for j := range row {
-				row[j] = r.Float64()
-			}
-		}
-		e0row := make([]float64, bw)
-		dst := make([]float64, bw)
-		kernels := []struct {
-			name string
-			fn   func(dst []float64, u int, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64)
-		}{
-			{"unroll2", tr.ApplyRowAffine2},
-			{"unroll4", tr.ApplyRowAffine},
-		}
-		for _, k := range kernels {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for u := 0; u < env.Graph.NumNodes(); u++ {
-						k.fn(dst, u, 1-alpha, src, alpha, e0row)
-					}
-				}
-			})
-			kr := kernelResult{Kernel: k.name, Batch: bw, NsPerOp: res.NsPerOp()}
-			fmt.Printf("affine-%s-%-4d %12d ns/op (full CSR pass)\n", k.name, bw, kr.NsPerOp)
-			snap.ApplyRowAffine = append(snap.ApplyRowAffine, kr)
-		}
-	}
 
 	// Serve rows: the admission-controlled coalescing scheduler under
 	// closed-loop load, against the per-query (B=1) path on the identical
@@ -1052,26 +997,15 @@ func checkRegression(baselinePath string, fresh snapshot, maxRegress float64) er
 				br.Batch, br.NsPerQuery, b.NsPerQuery))
 		}
 	}
-	// Wide-batch rows carry an absolute bar on top of the regression
-	// comparison: at B=512 the auto-tiled path must beat the legacy
-	// untiled path by ≥1.3× ns/query — a within-run ratio (both sides
-	// measured back-to-back on identical inputs producing bit-identical
-	// outputs), so the bar transfers across hardware. Rows absent from the
-	// baseline (first snapshot after tiling landed) still face the
-	// absolute bar.
-	const (
-		wideAcceptanceB     = 512
-		minWideTiledSpeedup = 1.3
-	)
+	// Wide-batch rows: the auto-tiled vs one-tile speedup is a within-run
+	// ratio (both sides measured back-to-back on identical inputs producing
+	// bit-identical outputs), so it transfers across hardware and is gated
+	// against the committed row only.
 	baseWide := make(map[int]batchWideResult, len(base.BatchWide))
 	for _, wr := range base.BatchWide {
 		baseWide[wr.Batch] = wr
 	}
 	for _, wr := range fresh.BatchWide {
-		if wr.Batch == wideAcceptanceB && wr.Speedup < minWideTiledSpeedup {
-			problems = append(problems, fmt.Sprintf("batch_wide B=%d: tiled speedup %.2fx vs untiled, want ≥ %.1fx",
-				wr.Batch, wr.Speedup, minWideTiledSpeedup))
-		}
 		if b, ok := baseWide[wr.Batch]; ok && b.Speedup > 0 && wr.Speedup < b.Speedup*(1-maxRegress) {
 			problems = append(problems, fmt.Sprintf("batch_wide B=%d: tiled speedup %.2fx vs baseline %.2fx",
 				wr.Batch, wr.Speedup, b.Speedup))

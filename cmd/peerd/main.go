@@ -124,7 +124,6 @@ func main() {
 		batch    = flag.String("batch", "", "issue a batch of comma-separated words (e.g. w12,w7) and exit; with -engine, the batch is scored in one diffusion first")
 		engine   = flag.String("engine", "", "serve queries through the request API on this engine (async|parallel|sync|gs); empty keeps gossip-cache scoring")
 		workers  = flag.Int("workers", 0, "parallel engine pool size (0 = GOMAXPROCS)")
-		colTile  = flag.Int("coltile", 0, "column tile width for wide batch diffusions: 0 auto-tiles from the cache model, <0 disables tiling, >0 forces the width (bit-identical scores either way; needs -engine)")
 		shards   = flag.Int("shards", 0, "partition the scorer mirror into this many Transition shards diffusing concurrently (0 = single CSR; needs -engine)")
 		part     = flag.String("part", "range", "shard partitioner: range (contiguous ids) or greedy (degree-balanced)")
 		scorer   = flag.String("scorer", "", "scoring backend for the local mirror: csr, sharded, or walkindex (precomputed per-document PPR segments; needs -engine)")
@@ -149,7 +148,7 @@ func main() {
 	cfg := runConfig{
 		topoPath: *topoPath, id: *id, alpha: *alpha, seed: *seed,
 		words: *words, dim: *dim, query: *query, batch: *batch,
-		engine: *engine, workers: *workers, colTile: *colTile, ttl: *ttl, k: *k, wait: *wait,
+		engine: *engine, workers: *workers, ttl: *ttl, k: *k, wait: *wait,
 		maxWait: *maxWait, maxBatch: *maxBatch, cache: *cache,
 		shards: *shards, part: *part, tenants: *tenants,
 		scorer: *scorer, indexBudget: *indexBgt,
@@ -174,7 +173,6 @@ type runConfig struct {
 	batch       string
 	engine      string
 	workers     int
-	colTile     int
 	ttl         int
 	k           int
 	wait        time.Duration
@@ -257,7 +255,6 @@ type scorerConfig struct {
 	engine      string
 	alpha       float64
 	workers     int
-	colTile     int
 	seed        uint64
 	maxWait     time.Duration
 	maxBatch    int
@@ -295,7 +292,7 @@ func newQueryScorer(specs map[int]peerSpec, vocab *embed.Vocabulary, cfg scorerC
 	}
 	s := &queryScorer{
 		req: core.DiffusionRequest{
-			Engine: eng, Alpha: cfg.alpha, Workers: cfg.workers, ColTile: cfg.colTile,
+			Engine: eng, Alpha: cfg.alpha, Workers: cfg.workers,
 			Seed: cfg.seed, Observer: cfg.tel.observer(),
 		},
 		vocab: vocab,
@@ -724,7 +721,7 @@ func run(cfg runConfig) error {
 			return err
 		}
 		if scorer, err = newQueryScorer(specs, vocab, scorerConfig{
-			engine: cfg.engine, alpha: cfg.alpha, workers: cfg.workers, colTile: cfg.colTile, seed: cfg.seed,
+			engine: cfg.engine, alpha: cfg.alpha, workers: cfg.workers, seed: cfg.seed,
 			maxWait: cfg.maxWait, maxBatch: cfg.maxBatch, cache: cfg.cache,
 			shards: shards, partitioner: pt,
 			scorer: sk, indexBudget: cfg.indexBudget,

@@ -65,13 +65,14 @@ type DiffusionRequest struct {
 	// Workers sizes the Parallel and ParallelGS engines' pools; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// ColTile controls column tiling of wide batch diffusions: 0 (the
-	// default) auto-tiles batches of 256+ columns with a tile width from
-	// the engine's L2 cache model, < 0 disables tiling, > 0 forces that
-	// tile width. Tiled runs produce bit-identical scores — the knob
-	// trades only throughput — so it is safe to leave on auto everywhere;
-	// override it when profiling shows the default tile misfits the
-	// host's cache. Sharded scoring backends ignore it.
+	// ColTile selects the column plan of batch diffusions: 0 (the
+	// default) splits batches of 256+ columns into tiles sized by the
+	// engine's L2 cache model and runs narrower ones as one tile, > 0
+	// forces that tile width (≥ the batch width means one tile); negative
+	// values are rejected. Every plan produces bit-identical scores — the
+	// knob trades only throughput — so it is safe to leave on auto
+	// everywhere; override it when profiling shows the default tile
+	// misfits the host's cache. Sharded scoring backends ignore it.
 	ColTile int
 	// Seed drives the Asynchronous engine's update schedule; the other
 	// engines are schedule-independent and ignore it.

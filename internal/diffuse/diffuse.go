@@ -4,8 +4,12 @@
 // PPR fixed point of eq. 6. Per p2pgnn [34], asynchronous updates converge
 // to the synchronous solution provided no node starves.
 //
-// Two engines are provided (see Engine for selection):
+// The engines (see Engine for selection) are visit orders of that one
+// update over one sweep driver (sweep.go), which owns the column plan,
+// per-column retirement, Stats, and the Stop/Observe hooks:
 //
+//   - Synchronous: every node per sweep from the previous sweep's values;
+//     the scoring-grade reference, bit-compatible with ppr.PPRFilter.
 //   - Asynchronous: a deterministic, seeded replay of randomized single-node
 //     updates (the Gauss–Seidel async model). The reference engine: used
 //     where bit-for-bit reproducibility matters.
@@ -15,6 +19,7 @@
 //     tol/4) are re-queued, so both wall-clock time and the Messages
 //     bandwidth proxy drop sharply once the diffusion localizes. Converges
 //     to the same fixed point within tolerance.
+//   - ParallelGS: deterministic multi-color Gauss–Seidel (gs.go).
 package diffuse
 
 import (
@@ -68,23 +73,23 @@ type Params struct {
 	MaxSweeps int     // sweep/round budget; 0 means DefaultMaxSweeps
 	Workers   int     // Parallel engine only: pool size; 0 means GOMAXPROCS
 
-	// ColTile controls column tiling of the single-CSR Signal kernels
-	// (see tile.go): 0 auto-tiles wide batches (B ≥ 256) with a width from
-	// the L2 cache model, < 0 disables tiling (the legacy untiled kernels
-	// run), > 0 forces that tile width at any batch width. Tiled runs are
-	// bit-identical to untiled ones — the knob trades only speed. The
-	// matrix engines and the sharded kernels ignore it.
+	// ColTile selects the column plan of the single-CSR kernels (see
+	// tile.go): 0 splits wide batches (B ≥ 256) into tiles sized by the L2
+	// cache model and runs narrower ones as one tile, > 0 forces that tile
+	// width at any batch width (≥ B means one tile); negative values are
+	// rejected. Every plan is bit-identical — the knob trades only speed.
+	// The sharded kernels always run one tile.
 	ColTile int
 
-	// Stop, when non-nil, lets the column-blocked Signal kernels retire
-	// columns before their residual converges (see StopPredicate). The
-	// matrix engines (Run) ignore it.
+	// Stop, when non-nil, lets the column kernels retire columns before
+	// their residual converges (see StopPredicate). Synchronous, which
+	// delegates to ppr.PPRFilter, ignores it.
 	Stop StopPredicate
 
 	// Observe, when non-nil, receives one SweepStat per sweep/round from
-	// the column-blocked Signal kernels (see Observer) — a read-only tap
-	// on the convergence profile that can never change the result. The
-	// matrix engines (Run) ignore it, like Stop.
+	// the column kernels (see Observer) — a read-only tap on the
+	// convergence profile that can never change the result. Synchronous
+	// ignores it, like Stop.
 	Observe Observer
 }
 
@@ -103,60 +108,22 @@ func (p Params) validate() error {
 	if p.Alpha <= 0 || p.Alpha > 1 {
 		return fmt.Errorf("diffuse: teleport probability %v out of (0,1]", p.Alpha)
 	}
+	if p.ColTile < 0 {
+		return fmt.Errorf("diffuse: negative column tile width %d", p.ColTile)
+	}
 	return nil
 }
 
-// Asynchronous runs the randomized asynchronous diffusion to convergence:
-// each step picks one node (uniformly, via r) and recomputes its embedding
-// from its neighbours' most recent embeddings. Updates are applied in
-// place, which models peers that always gossip their latest value.
+// Asynchronous runs the randomized asynchronous diffusion in matrix mode:
+// the embedding-diffusion entry point behind Run(EngineAsynchronous). Each
+// step picks one node (a fresh permutation per sweep, via r) and recomputes
+// its embedding from its neighbours' most recent embeddings, in place. It
+// is AsynchronousColumns over the embedding dimensions; converged
+// dimensions freeze individually, within tol of the joint fixed point like
+// every column kernel.
 //
 // The returned matrix holds one diffused node embedding per row. The input
 // e0 is not modified.
 func Asynchronous(tr *graph.Transition, e0 *vecmath.Matrix, p Params, r *randx.Rand) (*vecmath.Matrix, Stats, error) {
-	if err := p.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	g := tr.Graph()
-	n := g.NumNodes()
-	if e0.Rows() != n {
-		return nil, Stats{}, fmt.Errorf("diffuse: signal has %d rows, graph has %d nodes", e0.Rows(), n)
-	}
-	tol, maxSweeps := p.controls()
-	emb := e0.Clone()
-	scratch := make([]float64, e0.Cols())
-	var st Stats
-	for st.Sweeps = 1; st.Sweeps <= maxSweeps; st.Sweeps++ {
-		var sweepResidual float64
-		// A sweep visits every node once in a fresh random order; this
-		// guarantees the no-starvation condition of [34] while remaining
-		// fully asynchronous in effect (updates see mid-sweep values).
-		for _, u := range r.Perm(n) {
-			res := updateNode(tr, emb, e0, u, p.Alpha, scratch)
-			st.Updates++
-			st.Messages += int64(g.Degree(u)) // u pulls each neighbour's latest embedding
-			if res > sweepResidual {
-				sweepResidual = res
-			}
-		}
-		st.Residual = sweepResidual
-		if sweepResidual <= tol {
-			st.Converged = true
-			return emb, st, nil
-		}
-	}
-	st.Sweeps = maxSweeps
-	return emb, st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
-}
-
-// updateNode recomputes node u's embedding in place and returns the
-// max-norm change. scratch must have dim length.
-func updateNode(tr *graph.Transition, emb, e0 *vecmath.Matrix, u graph.NodeID, alpha float64, scratch []float64) float64 {
-	vecmath.Zero(scratch)
-	tr.ApplyRow(scratch, u, 1-alpha, emb)
-	vecmath.AXPY(scratch, alpha, e0.Row(u))
-	row := emb.Row(u)
-	res := vecmath.MaxAbsDiff(row, scratch)
-	copy(row, scratch)
-	return res
+	return matrixOf(AsynchronousColumns(tr, NewSignal(e0), p, r))
 }

@@ -70,9 +70,11 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("diffuse: unknown engine %q (want async|parallel|sync|gs)", s)
 }
 
-// Run dispatches one diffusion to the selected engine. seed feeds the
+// Run dispatches one matrix-form diffusion to the selected engine: a
+// Signal run whose columns are the embedding dimensions (Synchronous
+// delegates to the reference ppr.PPRFilter instead). seed feeds the
 // Asynchronous engine's update schedule and is ignored by the
-// schedule-independent Parallel and Sync engines.
+// schedule-independent engines.
 func Run(e Engine, tr *graph.Transition, e0 *vecmath.Matrix, p Params, seed uint64) (*vecmath.Matrix, Stats, error) {
 	switch e {
 	case EngineAsynchronous:
@@ -93,11 +95,13 @@ func Run(e Engine, tr *graph.Transition, e0 *vecmath.Matrix, p Params, seed uint
 // converge (see Signal). seed feeds the Asynchronous engine's update
 // schedule exactly as in Run. Batch results are bit-identical to diffusing
 // each column as its own single-column Signal on the sync, async, and GS
-// engines; EngineSync is additionally bit-identical to Run (the async,
-// parallel, and GS column kernels use the fused-teleport batch kernel,
-// whose rounding differs from the matrix path's Zero+ApplyRow+AXPY
-// sequence). Wide batches run column-tiled per Params.ColTile —
-// bit-identical to untiled on every engine, just faster.
+// engines. Run is this same dispatch over the embedding dimensions for
+// the async, parallel, and GS engines; on EngineSync it delegates to
+// ppr.PPRFilter, to which a single-column sync Signal is bit-identical
+// (the sync order keeps the unfused Zero+ApplyRow+AXPY update for that
+// reason; the others use the fused affine kernel, whose rounding
+// differs). Params.ColTile picks the column plan — every plan is
+// bit-identical on every engine, only speed moves.
 func RunSignal(e Engine, tr *graph.Transition, sig *Signal, p Params, seed uint64) (*Signal, Stats, error) {
 	switch e {
 	case EngineAsynchronous:

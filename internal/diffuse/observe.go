@@ -44,8 +44,9 @@ type SweepStat struct {
 // is bit-identical (scores, sweep counts, retirement decisions) to an
 // unobserved one. Implementations must be fast and must not block; a
 // nil Params.Observe costs the hot path exactly one nil check per
-// sweep. The matrix engines ignore observers, as they ignore stop
-// predicates: sweep-level observability is a column-kernel feature.
+// sweep. Synchronous, which delegates to ppr.PPRFilter, ignores
+// observers as it ignores stop predicates; every other entry point is a
+// column-kernel run and reports.
 type Observer interface {
 	ObserveSweep(SweepStat)
 }

@@ -1,7 +1,6 @@
 package diffuse
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -51,54 +50,81 @@ func forEachClaimed(cursor *atomic.Int64, cum []int, visit func(s, lo, hi int)) 
 	}
 }
 
-// Parallel runs the residual-driven diffusion: instead of sweeping every
-// node, it maintains an active frontier of nodes with significant unseen
-// incoming change (the Gauss–Southwell selection rule, per the PowerWalk
-// observation that converged regions of the graph need no further work). A
-// node sends on an edge once the change accumulated since that edge's last
-// send exceeds a receiver-aware threshold derived from tol/4 (see
-// pushState), which bounds every receiver's pending incoming influence even
-// at high-degree hubs. Each round recomputes the whole frontier from the
-// previous round's embeddings (block Jacobi on the active set), so the
-// result is deterministic regardless of scheduling or worker count.
-//
-// The frontier is processed by a fixed pool of p.Workers goroutines
-// (default GOMAXPROCS) that claim chunks through an atomic cursor and
-// append to per-shard scratch frontiers — no per-node goroutines, no map
-// mailboxes. Round completion is detected by a pending-work counter, never
-// by sleep polling.
-//
-// Stats.Messages counts one embedding transfer per edge send (plus the
-// initial neighbourhood announcement), the same gossip accounting as a
-// real deployment; targeted per-edge pushes make this strictly smaller
-// than sweeping engines on converging runs.
+// Parallel runs the residual-driven frontier engine in matrix mode: the
+// embedding-diffusion entry point behind Run(EngineParallel). It is
+// ParallelColumns over the embedding dimensions — see there for the
+// schedule; converged dimensions freeze individually, within tol of the
+// joint fixed point like every column kernel.
 //
 // The returned matrix holds one diffused node embedding per row. The input
 // e0 is not modified.
 func Parallel(tr *graph.Transition, e0 *vecmath.Matrix, p Params) (*vecmath.Matrix, Stats, error) {
-	if err := p.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	g := tr.Graph()
-	n := g.NumNodes()
-	if e0.Rows() != n {
-		return nil, Stats{}, fmt.Errorf("diffuse: signal has %d rows, graph has %d nodes", e0.Rows(), n)
-	}
-	tol, maxRounds := p.controls()
-	pushTol := tol / 4
+	return matrixOf(ParallelColumns(tr, NewSignal(e0), p))
+}
+
+// poolSize resolves the worker count of a per-run pool: p.Workers, or
+// GOMAXPROCS when unset, clamped to the graph.
+func (p Params) poolSize(n int) int {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n && n > 0 {
-		workers = n
-	}
+	return clampWorkers(workers, n)
+}
 
-	cur := e0.Clone()
-	if n == 0 {
-		return cur, Stats{Converged: true}, nil
+// clampWorkers caps a worker count at one worker per node.
+func clampWorkers(workers, n int) int {
+	if workers > n && n > 0 {
+		return n
 	}
-	next := vecmath.NewMatrix(n, e0.Cols())
+	return workers
+}
+
+// ParallelColumns diffuses a column block with the residual-driven frontier
+// engine: instead of sweeping every node, it maintains an active frontier
+// of nodes with significant unseen incoming change (the Gauss–Southwell
+// selection rule, per the PowerWalk observation that converged regions of
+// the graph need no further work). A node sends on an edge once the change
+// accumulated since that edge's last send exceeds a receiver-aware
+// threshold derived from tol/4 (see pushState), which bounds every
+// receiver's pending incoming influence even at high-degree hubs. Each
+// round recomputes the whole frontier from the previous round's values
+// (block Jacobi on the active set), so the result is deterministic
+// regardless of scheduling or worker count.
+//
+// The frontier is processed by a fixed pool of p.Workers goroutines
+// (default GOMAXPROCS) that claim chunks through an atomic cursor and
+// append to per-worker scratch frontiers — no per-node goroutines, no map
+// mailboxes. Stats.Messages counts one transfer per edge send (plus the
+// initial neighbourhood announcement), the same gossip accounting as a
+// real deployment; targeted per-edge pushes make this strictly smaller
+// than sweeping engines on converging runs.
+//
+// Scheduling is shared across the block: a frontier node's residual is its
+// largest per-column change, and one per-edge staleness accumulator gates
+// sends for the whole block (a send carries every active column, so firing
+// an edge resets the staleness of all columns at once — each column's
+// individual unseen influence per receiver therefore stays within the same
+// tol/4 budget).
+//
+// Per-column early termination: a column whose largest change over the
+// round's frontier falls to the push threshold pushTol = tol/4 is retired —
+// below that granularity its remaining dynamics are inside the engine's
+// own quiescence budget. Global quiescence (no node re-queued: every
+// receiver's pending incoming influence is below tol/4 for every column)
+// retires every remaining column. A plain max-norm-residual stop would be
+// unsound here — (1−α)A is not a max-norm contraction for
+// column-stochastic hubs, so a small per-round change can hide a large
+// pending hub update.
+func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
+	n, cols, err := checkSignal(tr, sig, p)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	tol, maxRounds := p.controls()
+	pushTol := tol / 4
+	workers := p.poolSize(n)
+	g := tr.Graph()
 	resid := make([]float64, n)      // per-node change of the current round
 	queued := make([]atomic.Bool, n) // membership marks for the next frontier
 	frontier := make([]graph.NodeID, n)
@@ -106,151 +132,100 @@ func Parallel(tr *graph.Transition, e0 *vecmath.Matrix, p Params) (*vecmath.Matr
 		frontier[u] = u
 	}
 	edgeOff, edgeThr, edgeStale := pushState(tr, pushTol, p.Alpha)
-
 	shards := make([]parShard, workers)
 	pool := newWorkerPool(workers)
 	defer pool.close()
 	var cursor atomic.Int64
-
-	var st Stats
-	// Bootstrap accounting: every node announces e0 to its neighbourhood so
-	// the first round has inputs to read (Σ deg(u) = 2|E| messages).
-	st.Messages = 2 * int64(g.NumEdges())
-
 	// Hoisted claim range for forEachClaimed: the backing array escapes to
 	// the worker closures once, not once per round.
 	var cum [2]int
-	for round := 1; round <= maxRounds; round++ {
-		// Compute phase: new value for every frontier node from the previous
-		// round's embeddings. Writes touch only next rows and resid slots of
-		// frontier nodes, reads only cur — no write conflicts.
-		cum[1] = len(frontier)
+
+	r := newSweepRun(sig, tileWidths(n, cols, p.ColTile), workers, true)
+	// Bootstrap accounting: every node announces its signal to its
+	// neighbourhood so the first round has inputs to read (Σ deg(u) = 2|E|
+	// messages).
+	r.st.Messages = 2 * int64(g.NumEdges())
+	return r.drive(p, pushTol, maxRounds, func() (int, bool) {
+		visited := len(frontier)
+		fullRound := visited == n
+		// Compute phase: per frontier node, one fused CSR pass per tile
+		// advances all active columns from the previous round's values.
+		// Writes touch only next rows and resid slots of frontier nodes,
+		// reads only cur — no write conflicts.
+		cum[1] = visited
 		cursor.Store(0)
-		pool.run(func(w int) {
-			sh := &shards[w]
+		pool.run(func(id int) {
+			sh := &shards[id]
 			forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
 				for _, u := range frontier[lo:hi] {
-					row := next.Row(u)
-					vecmath.Zero(row)
-					tr.ApplyRow(row, u, 1-p.Alpha, cur)
-					vecmath.AXPY(row, p.Alpha, e0.Row(u))
-					resid[u] = vecmath.MaxAbsDiff(cur.Row(u), row)
+					var nodeRes float64
+					for _, t := range r.live {
+						row := t.next.Row(u)
+						tr.ApplyRowAffine(row, u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
+						nodeRes = max(nodeRes, vecmath.ResidMax(t.res[id], t.cur.Row(u), row))
+					}
+					resid[u] = nodeRes
 					sh.updates++
 				}
 			})
 		})
-		// Commit phase: publish the new values and mark every neighbour of a
-		// significantly changed node for the next round. Marking races are
-		// resolved by CompareAndSwap so each node enters the frontier once.
-		// When the frontier covers every node the row copies are replaced by
-		// one buffer swap after the phase.
-		fullRound := len(frontier) == n
-		commit := commitCtx{
-			tr: tr, frontier: frontier, fullRound: fullRound,
-			cur: cur, next: next, resid: resid,
-			edgeOff: edgeOff, edgeThr: edgeThr, edgeStale: edgeStale,
-			queued: queued, cursor: &cursor, cum: [2]int{0, len(frontier)},
-		}
+		// Commit phase: publish the new values and mark every neighbour of
+		// a significantly changed node for the next round. Marking races
+		// are resolved by CompareAndSwap so each node enters the frontier
+		// once. When the frontier covers every node the row copies are
+		// replaced by one buffer swap per tile after the phase.
 		cursor.Store(0)
-		pool.run(func(w int) { commit.work(&shards[w]) })
+		pool.run(func(id int) {
+			sh := &shards[id]
+			forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
+				for _, u := range frontier[lo:hi] {
+					if !fullRound {
+						for _, t := range r.live {
+							copy(t.cur.Row(u), t.next.Row(u))
+						}
+					}
+					rs := resid[u]
+					if rs == 0 {
+						continue
+					}
+					// Push per edge on the change accumulated since that
+					// edge's last send, against a receiver-aware threshold
+					// — a flat per-sender cutoff would let many senders
+					// each drift just under it and leave a shared hub
+					// arbitrarily stale, while broadcasting every change
+					// spams receivers that are insensitive to this sender.
+					base := edgeOff[u]
+					for i, v := range g.Neighbors(u) {
+						es := edgeStale[base+i] + rs
+						if es <= edgeThr[base+i] {
+							edgeStale[base+i] = es
+							continue
+						}
+						edgeStale[base+i] = 0
+						sh.messages++
+						// Test-and-test-and-set: on dense frontiers most
+						// neighbours are already queued, and the plain load
+						// dodges the expensive CAS for them.
+						if !queued[v].Load() && queued[v].CompareAndSwap(false, true) {
+							sh.next = append(sh.next, v)
+						}
+					}
+				}
+			})
+		})
 		if fullRound {
-			cur, next = next, cur
-		}
-		st.Sweeps = round
-		var roundResid float64
-		total := 0
-		for w := range shards {
-			sh := &shards[w]
-			st.Updates += sh.updates
-			st.Messages += sh.messages
-			if sh.maxResid > roundResid {
-				roundResid = sh.maxResid
+			for _, t := range r.live {
+				t.cur, t.next = t.next, t.cur
 			}
-			sh.updates, sh.messages, sh.maxResid = 0, 0, 0
-			total += len(sh.next)
 		}
-		st.Residual = roundResid
-		// Converged when nothing was re-queued: every node's accumulated
-		// unsent change is below its push threshold, so every receiver's
-		// pending incoming influence is at most tol/4. A plain
-		// max-norm-residual stop would be unsound here — (1−α)A is not a
-		// max-norm contraction for column-stochastic hubs, so a small
-		// per-round change can hide a large pending hub update.
-		if total == 0 {
-			st.Converged = true
-			return cur, st, nil
+		for id := range shards {
+			sh := &shards[id]
+			r.st.Updates += sh.updates
+			r.st.Messages += sh.messages
+			sh.updates, sh.messages = 0, 0
 		}
 		frontier = rebuildFrontier(shards, queued, frontier)
-	}
-	return cur, st, fmt.Errorf("%w after %d rounds (residual %g)", ErrNoConvergence, maxRounds, st.Residual)
-}
-
-// commitCtx bundles the shared inputs of one commit phase so the scalar
-// (Parallel) and column-blocked (ParallelColumns) engines run the identical
-// publish-and-requeue logic.
-type commitCtx struct {
-	tr        *graph.Transition
-	frontier  []graph.NodeID
-	fullRound bool
-	cur, next *vecmath.Matrix
-	// tiles, when non-nil, selects the column-tiled publish: each tile's
-	// row is copied from its own next matrix (cur/next above stay nil).
-	// The push-and-requeue logic below is untouched — tiling changes the
-	// storage layout of the iterate, never the scheduling.
-	tiles     []*colTile
-	resid     []float64
-	edgeOff   []int
-	edgeThr   []float64
-	edgeStale []float64
-	queued    []atomic.Bool
-	cursor    *atomic.Int64
-	cum       [2]int // {0, len(frontier)}: claim range for forEachClaimed
-}
-
-// work runs one worker's share of the commit phase into sh.
-func (c *commitCtx) work(sh *parShard) {
-	g := c.tr.Graph()
-	forEachClaimed(c.cursor, c.cum[:], func(_, lo, hi int) {
-		for _, u := range c.frontier[lo:hi] {
-			if !c.fullRound {
-				if c.tiles != nil {
-					for _, t := range c.tiles {
-						copy(t.cur.Row(u), t.next.Row(u))
-					}
-				} else {
-					copy(c.cur.Row(u), c.next.Row(u))
-				}
-			}
-			r := c.resid[u]
-			if r > sh.maxResid {
-				sh.maxResid = r
-			}
-			if r == 0 {
-				continue
-			}
-			// Push per edge on the change accumulated since that
-			// edge's last send, against a receiver-aware threshold —
-			// a flat per-sender cutoff would let many senders each
-			// drift just under it and leave a shared hub arbitrarily
-			// stale, while broadcasting every change spams receivers
-			// that are insensitive to this sender.
-			base := c.edgeOff[u]
-			for i, v := range g.Neighbors(u) {
-				es := c.edgeStale[base+i] + r
-				if es <= c.edgeThr[base+i] {
-					c.edgeStale[base+i] = es
-					continue
-				}
-				c.edgeStale[base+i] = 0
-				sh.messages++
-				// Test-and-test-and-set: on dense frontiers most
-				// neighbours are already queued, and the plain load
-				// dodges the expensive CAS for them.
-				if !c.queued[v].Load() && c.queued[v].CompareAndSwap(false, true) {
-					sh.next = append(sh.next, v)
-				}
-			}
-		}
+		return visited, len(frontier) == 0
 	})
 }
 
@@ -294,30 +269,30 @@ func pushState(tr *graph.Transition, pushTol, alpha float64) (off []int, thr, st
 	for u := 0; u < n; u++ {
 		base := off[u]
 		for i, v := range g.Neighbors(u) {
-			if d := (1 - alpha) * tr.Weight(v, u) * float64(g.Degree(v)); d > 0 {
-				thr[base+i] = pushTol / d
-			} else { // alpha == 1: no diffusion, nothing to announce
-				thr[base+i] = math.Inf(1)
-			}
+			thr[base+i] = pushThreshold(tr, g, u, v, pushTol, alpha)
 		}
 	}
 	return off, thr, stale
 }
 
+// pushThreshold is the send threshold of edge (u,v) under the rule above.
+func pushThreshold(tr *graph.Transition, g *graph.Graph, u, v graph.NodeID, pushTol, alpha float64) float64 {
+	if d := (1 - alpha) * tr.Weight(v, u) * float64(g.Degree(v)); d > 0 {
+		return pushTol / d
+	}
+	return math.Inf(1) // alpha == 1: no diffusion, nothing to announce
+}
+
 // parShard is the per-worker scratch state: a private slice of next-round
 // frontier members plus round counters, merged by the coordinator between
-// rounds so workers never contend on shared accumulators. colRes (per
-// compact column slot maxima) is allocated only by the column-blocked
-// engine; the scalar engine leaves it nil.
+// rounds so workers never contend on shared accumulators.
 type parShard struct {
 	next     []graph.NodeID
-	colRes   []float64
 	updates  int64
 	messages int64
-	maxResid float64
 	// Pad to 128 bytes (two cache lines) so adjacent shards in the slice
 	// never share a line however the allocator aligns it.
-	_ [128 - 72]byte
+	_ [128 - 40]byte
 }
 
 // workerPool is a fixed set of goroutines executing one function per phase.

@@ -2,7 +2,6 @@ package diffuse
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"diffusearch/internal/graph"
@@ -53,18 +52,16 @@ func RunSharded(e Engine, ss *graph.ShardSet, sig *Signal, p Params, seed uint64
 	return nil, Stats{}, fmt.Errorf("diffuse: unknown engine %d", int(e))
 }
 
-// shardSlot is the per-worker scratch of a sharded round: per-column
-// residual maxima, counters, and one next-frontier mailbox per destination
-// shard (local indices in the destination's numbering). Mailboxes are
-// merged into the per-shard frontiers by the coordinator between rounds, so
-// workers never contend on a shared frontier.
+// shardSlot is the per-worker scratch of a sharded round: counters and one
+// next-frontier mailbox per destination shard (local indices in the
+// destination's numbering). Mailboxes are merged into the per-shard
+// frontiers by the coordinator between rounds, so workers never contend on
+// a shared frontier.
 type shardSlot struct {
-	colRes   []float64
 	next     [][]int // dest shard -> local indices queued for its next frontier
 	updates  int64
 	messages int64
 	cross    int64
-	maxResid float64
 }
 
 // shardPushState precomputes one shard's CSR-aligned per-edge push
@@ -81,11 +78,7 @@ func shardPushState(ss *graph.ShardSet, sh *graph.TransitionShard, pushTol, alph
 		u := sh.Node(i)
 		base := sh.RowStart(i)
 		for j, v := range sh.Neighbors(i) {
-			if d := (1 - alpha) * tr.Weight(v, u) * float64(g.Degree(v)); d > 0 {
-				thr[base+j] = pushTol / d
-			} else { // alpha == 1: no diffusion, nothing to announce
-				thr[base+j] = math.Inf(1)
-			}
+			thr[base+j] = pushThreshold(tr, g, u, v, pushTol, alpha)
 		}
 	}
 	return thr, stale
@@ -100,7 +93,7 @@ func shardPushState(ss *graph.ShardSet, sh *graph.TransitionShard, pushTol, alph
 // Stats additionally reports CrossMessages, the sends that crossed a shard
 // boundary — the traffic a distributed deployment would put on the wire.
 func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Pool) (*Signal, Stats, error) {
-	n, cols, err := checkSignal(ss.Transition(), sig, p)
+	n, _, err := checkSignal(ss.Transition(), sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -110,22 +103,11 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 		pool = NewPool(p.Workers)
 		defer pool.Close()
 	}
-	slots := pool.Workers()
-	if slots > n && n > 0 {
-		slots = n
-	}
-	cb := newColBlock(n, cols)
-	var st Stats
-	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
-	}
-	g := ss.Transition().Graph()
+	slots := clampWorkers(pool.Workers(), n)
+	// One tile: the sharded orders parallelize over rows and ignore ColTile.
+	r := newSweepRun(sig, []int{sig.Columns()}, slots, true)
 	part := ss.Partition()
 	k := ss.NumShards()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	next := vecmath.NewMatrix(n, cols)
 	resid := make([]float64, n)
 	queued := make([]atomic.Bool, n)
 	frontiers := make([][]int, k) // local indices per shard
@@ -140,30 +122,25 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 		frontiers[s] = f
 		edgeThr[s], edgeStale[s] = shardPushState(ss, sh, pushTol, p.Alpha)
 	}
-
 	slotsState := make([]shardSlot, slots)
 	for i := range slotsState {
-		slotsState[i].colRes = make([]float64, cols)
 		slotsState[i].next = make([][]int, k)
 	}
 	var cursor atomic.Int64
 	cum := make([]int, k+1)
-	colRound := make([]float64, cols)
-	var obsMsgs, obsCross int64 // last totals handed to the observer
 
 	// Bootstrap accounting, as in ParallelColumns: every node announces its
 	// signal to its neighbourhood; announcements over boundary edges cross
 	// shards.
-	st.Messages = 2 * int64(g.NumEdges())
-	st.CrossMessages = int64(ss.CrossEntries())
-
-	for round := 1; round <= maxRounds; round++ {
-		w := len(cb.act)
+	r.st.Messages = 2 * int64(ss.Transition().Graph().NumEdges())
+	r.st.CrossMessages = int64(ss.CrossEntries())
+	return r.drive(p, pushTol, maxRounds, func() (int, bool) {
+		t := r.live[0]
 		for s := 0; s < k; s++ {
 			cum[s+1] = cum[s] + len(frontiers[s])
 		}
-		total := cum[k]
-		fullRound := total == n
+		visited := cum[k]
+		fullRound := visited == n
 
 		// Compute phase: per frontier node, one fused shard-CSR pass
 		// advances all active columns (reads cur globally, writes only the
@@ -171,25 +148,14 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 		cursor.Store(0)
 		pool.Run(slots, func(slot int) {
 			sl := &slotsState[slot]
-			cr := sl.colRes[:w]
+			cr := t.res[slot]
 			forEachClaimed(&cursor, cum, func(s, lo, hi int) {
 				sh := ss.Shard(s)
 				for _, li := range frontiers[s][lo:hi] {
 					u := sh.Node(li)
-					row := next.Row(u)
-					sh.ApplyRowAffine(row, li, 1-p.Alpha, cur, p.Alpha, e0c.Row(u))
-					old := cur.Row(u)
-					var nodeRes float64
-					for j, v := range row {
-						d := math.Abs(old[j] - v)
-						if d > cr[j] {
-							cr[j] = d
-						}
-						if d > nodeRes {
-							nodeRes = d
-						}
-					}
-					resid[u] = nodeRes
+					row := t.next.Row(u)
+					sh.ApplyRowAffine(row, li, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
+					resid[u] = vecmath.ResidMax(cr, t.cur.Row(u), row)
 					sl.updates++
 				}
 			})
@@ -210,18 +176,16 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 				for _, li := range frontiers[s][lo:hi] {
 					u := sh.Node(li)
 					if !fullRound {
-						copy(cur.Row(u), next.Row(u))
+						copy(t.cur.Row(u), t.next.Row(u))
 					}
-					r := resid[u]
-					if r > sl.maxResid {
-						sl.maxResid = r
-					}
-					if r == 0 {
+					rs := resid[u]
+					if rs == 0 {
 						continue
 					}
+					// The push rule of ParallelColumns, edge for edge.
 					base := sh.RowStart(li)
 					for i, v := range sh.Neighbors(li) {
-						es := stale[base+i] + r
+						es := stale[base+i] + rs
 						if es <= thr[base+i] {
 							stale[base+i] = es
 							continue
@@ -240,52 +204,11 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 			})
 		})
 		if fullRound {
-			cur, next = next, cur
-		}
-		st.Sweeps = round
-		var roundResid float64
-		totalNext := 0
-		cr := colRound[:w]
-		vecmath.Zero(cr)
-		for i := range slotsState {
-			sl := &slotsState[i]
-			st.Updates += sl.updates
-			st.Messages += sl.messages
-			st.CrossMessages += sl.cross
-			if sl.maxResid > roundResid {
-				roundResid = sl.maxResid
-			}
-			for j, v := range sl.colRes[:w] {
-				if v > cr[j] {
-					cr[j] = v
-				}
-			}
-			vecmath.Zero(sl.colRes[:w])
-			sl.updates, sl.messages, sl.cross, sl.maxResid = 0, 0, 0, 0
-			for s := 0; s < k; s++ {
-				totalNext += len(sl.next[s])
-			}
-		}
-		st.Residual = roundResid
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: round, ActiveNodes: total, ActiveColumns: w,
-				Residual: roundResid, ResidualL1: sumOf(cr),
-				Messages:      st.Messages - obsMsgs,
-				CrossMessages: st.CrossMessages - obsCross,
-			})
-			obsMsgs, obsCross = st.Messages, st.CrossMessages
-		}
-		if totalNext == 0 {
-			// Global quiescence across every shard: all remaining columns
-			// retire (per-column pending influence is below tol/4, the same
-			// budget argument as the single-CSR engine).
-			cb.retireAll(round, cur)
-			st.Converged = true
-			return cb.signal(&st), st, nil
+			t.cur, t.next = t.next, t.cur
 		}
 		// Mailbox flush: drain every worker's per-destination lists into the
 		// owner shards' frontiers and clear the membership marks.
+		queuedNext := 0
 		for s := 0; s < k; s++ {
 			sh := ss.Shard(s)
 			frontiers[s] = frontiers[s][:0]
@@ -297,24 +220,17 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 				}
 				sl.next[s] = sl.next[s][:0]
 			}
+			queuedNext += len(frontiers[s])
 		}
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(round, cb.act, cur)
+		for i := range slotsState {
+			sl := &slotsState[i]
+			r.st.Updates += sl.updates
+			r.st.Messages += sl.messages
+			r.st.CrossMessages += sl.cross
+			sl.updates, sl.messages, sl.cross = 0, 0, 0
 		}
-		keep, done := cb.retireSweep(cr, pushTol, stop, round, cur)
-		if done {
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
-			next = vecmath.NewMatrix(n, len(keep))
-		}
-	}
-	cb.retireAll(maxRounds, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d rounds (residual %g)", ErrNoConvergence, maxRounds, st.Residual)
+		return visited, queuedNext == 0
+	})
 }
 
 // ShardedSynchronousColumns diffuses a column block with the synchronous
@@ -324,7 +240,7 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 // values). Results are bit-for-bit identical to SynchronousColumns;
 // CrossMessages counts the boundary share of each sweep's edge traffic.
 func ShardedSynchronousColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Pool) (*Signal, Stats, error) {
-	n, cols, err := checkSignal(ss.Transition(), sig, p)
+	n, _, err := checkSignal(ss.Transition(), sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -333,93 +249,38 @@ func ShardedSynchronousColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *
 		pool = NewPool(p.Workers)
 		defer pool.Close()
 	}
-	slots := pool.Workers()
-	if slots > n && n > 0 {
-		slots = n
-	}
-	cb := newColBlock(n, cols)
-	var st Stats
-	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
-	}
-	g := ss.Transition().Graph()
+	slots := clampWorkers(pool.Workers(), n)
+	// One tile: the sharded orders parallelize over rows and ignore ColTile.
+	r := newSweepRun(sig, []int{sig.Columns()}, slots, true)
 	k := ss.NumShards()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	next := vecmath.NewMatrix(n, cols)
 	cum := make([]int, k+1)
 	for s := 0; s < k; s++ {
 		cum[s+1] = cum[s] + ss.Shard(s).Len()
 	}
-	slotRes := make([][]float64, slots)
-	for i := range slotRes {
-		slotRes[i] = make([]float64, cols)
-	}
 	var cursor atomic.Int64
-	colRes := make([]float64, cols)
+	edgeMsgs := 2 * int64(ss.Transition().Graph().NumEdges())
 	crossPerSweep := int64(ss.CrossEntries())
-	for sweep := 1; sweep <= maxSweeps; sweep++ {
-		w := len(cb.act)
+	return r.drive(p, tol, maxSweeps, func() (int, bool) {
+		t := r.live[0]
 		cursor.Store(0)
 		pool.Run(slots, func(slot int) {
-			cr := slotRes[slot][:w]
+			cr := t.res[slot]
 			forEachClaimed(&cursor, cum, func(s, lo, hi int) {
 				sh := ss.Shard(s)
 				for li := lo; li < hi; li++ {
 					u := sh.Node(li)
-					row := next.Row(u)
+					row := t.next.Row(u)
 					vecmath.Zero(row)
-					sh.ApplyRow(row, li, 1-p.Alpha, cur)
-					vecmath.AXPY(row, p.Alpha, e0c.Row(u))
-					old := cur.Row(u)
-					for j, v := range row {
-						if d := math.Abs(old[j] - v); d > cr[j] {
-							cr[j] = d
-						}
-					}
+					sh.ApplyRow(row, li, 1-p.Alpha, t.cur)
+					vecmath.AXPY(row, p.Alpha, t.e0row(u))
+					vecmath.ResidMax(cr, t.cur.Row(u), row)
 				}
 			})
 		})
-		cur, next = next, cur
-		st.Sweeps = sweep
-		st.Updates += int64(n)
-		st.Messages += 2 * int64(g.NumEdges())
-		st.CrossMessages += crossPerSweep
-		cr := colRes[:w]
-		vecmath.Zero(cr)
-		for i := range slotRes {
-			for j, v := range slotRes[i][:w] {
-				if v > cr[j] {
-					cr[j] = v
-				}
-			}
-			vecmath.Zero(slotRes[i][:w])
-		}
-		st.Residual = maxOf(cr)
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: sweep, ActiveNodes: n, ActiveColumns: w,
-				Residual: st.Residual, ResidualL1: sumOf(cr),
-				Messages:      2 * int64(g.NumEdges()),
-				CrossMessages: crossPerSweep,
-			})
-		}
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(sweep, cb.act, cur)
-		}
-		keep, done := cb.retireSweep(cr, tol, stop, sweep, cur)
-		if done {
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
-			next = vecmath.NewMatrix(n, len(keep))
-		}
-	}
-	cb.retireAll(maxSweeps, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
+		t.cur, t.next = t.next, t.cur
+		r.st.Updates += int64(n)
+		r.st.Messages += edgeMsgs
+		r.st.CrossMessages += crossPerSweep
+		return n, false
+	})
 }

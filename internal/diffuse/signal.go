@@ -2,9 +2,6 @@ package diffuse
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"sync/atomic"
 
 	"diffusearch/internal/graph"
 	"diffusearch/internal/randx"
@@ -51,21 +48,13 @@ func (s *Signal) Columns() int { return s.mat.Cols() }
 // Column returns an owned copy of column j — one per-node score slice.
 func (s *Signal) Column(j int) []float64 { return s.mat.Column(j) }
 
-// colBlock tracks the active compact column block of one column-blocked
-// run: which original column each compact slot maps to, the finalized
+// colBlock tracks the active compact column block of one column tile:
+// which original column each compact slot maps to, the run's finalized
 // output, and the per-column sweep counts.
 type colBlock struct {
 	act    []int           // compact slot -> original column
 	out    *vecmath.Matrix // n×B finalized values
 	sweeps []int           // per original column: sweeps spent active
-}
-
-func newColBlock(n, cols int) *colBlock {
-	act := make([]int, cols)
-	for j := range act {
-		act[j] = j
-	}
-	return &colBlock{act: act, out: vecmath.NewMatrix(n, cols), sweeps: make([]int, cols)}
 }
 
 // retire finalizes every compact slot marked in frozen: the slot's column
@@ -118,11 +107,6 @@ func (cb *colBlock) retireSweep(cr []float64, thresh float64, stop []bool, sweep
 	return keep, len(keep) == 0
 }
 
-func (cb *colBlock) signal(st *Stats) *Signal {
-	st.ColumnSweeps = cb.sweeps
-	return &Signal{mat: cb.out}
-}
-
 // checkSignal validates the common engine preconditions.
 func checkSignal(tr *graph.Transition, sig *Signal, p Params) (n, cols int, err error) {
 	if err := p.validate(); err != nil {
@@ -135,317 +119,80 @@ func checkSignal(tr *graph.Transition, sig *Signal, p Params) (n, cols int, err 
 	return n, sig.mat.Cols(), nil
 }
 
+// matrixOf unwraps a column kernel's result for the matrix-form entry
+// points, whose embedding diffusion is a Signal run over the embedding
+// dimensions.
+func matrixOf(sig *Signal, st Stats, err error) (*vecmath.Matrix, Stats, error) {
+	if sig == nil {
+		return nil, st, err
+	}
+	return sig.mat, st, err
+}
+
 // SynchronousColumns diffuses a column block with the synchronous engine:
 // full eq. 7 sweeps over every node, per-column residuals, and columns
-// retired the sweep their residual first drops to tol. A single-column
-// Signal is bit-for-bit identical to Synchronous (and therefore to the
-// historical ppr.PPRFilter path) on the same input.
+// retired the sweep their residual first drops to tol. It keeps the
+// unfused Zero+ApplyRow+AXPY update (not the fused affine kernel): the
+// sync engine is the bit-compatibility anchor of the historical
+// ppr.PPRFilter path, whose addition order the fused kernel does not
+// reproduce, so a single-column Signal is bit-for-bit identical to
+// Synchronous (and therefore to ppr.PPRFilter) on the same input.
 func SynchronousColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
 	n, cols, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	tol, maxSweeps := p.syncControls()
-	cb := newColBlock(n, cols)
-	var st Stats
-	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
-	}
-	if widths := tileWidths(n, cols, p.ColTile); widths != nil {
-		return synchronousColumnsTiled(tr, sig, p, widths)
-	}
-	g := tr.Graph()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	next := vecmath.NewMatrix(n, cols)
-	colRes := make([]float64, cols)
-	for sweep := 1; sweep <= maxSweeps; sweep++ {
-		w := len(cb.act)
-		cr := colRes[:w]
-		vecmath.Zero(cr)
-		for u := 0; u < n; u++ {
-			row := next.Row(u)
-			vecmath.Zero(row)
-			tr.ApplyRow(row, u, 1-p.Alpha, cur)
-			vecmath.AXPY(row, p.Alpha, e0c.Row(u))
-			old := cur.Row(u)
-			for j, v := range row {
-				if d := math.Abs(old[j] - v); d > cr[j] {
-					cr[j] = d
-				}
+	edgeMsgs := 2 * int64(tr.Graph().NumEdges())
+	r := newSweepRun(sig, tileWidths(n, cols, p.ColTile), 1, true)
+	return r.drive(p, tol, maxSweeps, func() (int, bool) {
+		for _, t := range r.live {
+			cr := t.res[0]
+			for u := 0; u < n; u++ {
+				row := t.next.Row(u)
+				vecmath.Zero(row)
+				tr.ApplyRow(row, u, 1-p.Alpha, t.cur)
+				vecmath.AXPY(row, p.Alpha, t.e0row(u))
+				vecmath.ResidMax(cr, t.cur.Row(u), row)
 			}
+			t.cur, t.next = t.next, t.cur
 		}
-		cur, next = next, cur
-		st.Sweeps = sweep
-		st.Updates += int64(n)
-		st.Messages += 2 * int64(g.NumEdges())
-		st.Residual = maxOf(cr)
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: sweep, ActiveNodes: n, ActiveColumns: w,
-				Residual: st.Residual, ResidualL1: sumOf(cr),
-				Messages: 2 * int64(g.NumEdges()),
-			})
-		}
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(sweep, cb.act, cur)
-		}
-		keep, done := cb.retireSweep(cr, tol, stop, sweep, cur)
-		if done {
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
-			next = vecmath.NewMatrix(n, len(keep))
-		}
-	}
-	cb.retireAll(maxSweeps, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
+		r.st.Updates += int64(n)
+		r.st.Messages += edgeMsgs
+		return n, false
+	})
 }
 
 // AsynchronousColumns diffuses a column block with the asynchronous engine:
-// seeded randomized single-node Gauss–Seidel updates, per-column sweep
-// residuals, and columns retired the sweep their residual first drops to
-// tol. The per-sweep node permutations are drawn exactly as in
-// Asynchronous, so each column's trajectory — and its retirement sweep —
-// is bit-identical to diffusing that column alone.
-func AsynchronousColumns(tr *graph.Transition, sig *Signal, p Params, r *randx.Rand) (*Signal, Stats, error) {
+// seeded randomized single-node Gauss–Seidel updates applied in place
+// (peers always gossip their latest value), per-column sweep residuals, and
+// columns retired the sweep their residual first drops to tol. A sweep
+// visits every node once in a fresh random order, which guarantees the
+// no-starvation condition of [34] while remaining fully asynchronous in
+// effect (updates see mid-sweep values). One permutation is drawn per
+// sweep and shared by every column, so each column's trajectory — and its
+// retirement sweep — is bit-identical to diffusing that column alone.
+func AsynchronousColumns(tr *graph.Transition, sig *Signal, p Params, rnd *randx.Rand) (*Signal, Stats, error) {
 	n, cols, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	tol, maxSweeps := p.controls()
-	cb := newColBlock(n, cols)
-	var st Stats
-	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
-	}
-	if widths := tileWidths(n, cols, p.ColTile); widths != nil {
-		return asynchronousColumnsTiled(tr, sig, p, r, widths)
-	}
-	g := tr.Graph()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	scratch := make([]float64, cols)
-	colRes := make([]float64, cols)
-	for sweep := 1; sweep <= maxSweeps; sweep++ {
-		w := len(cb.act)
-		cr := colRes[:w]
-		vecmath.Zero(cr)
-		sc := scratch[:w]
-		for _, u := range r.Perm(n) {
-			tr.ApplyRowAffine(sc, u, 1-p.Alpha, cur, p.Alpha, e0c.Row(u))
-			row := cur.Row(u)
-			for j, v := range sc {
-				if d := math.Abs(row[j] - v); d > cr[j] {
-					cr[j] = d
-				}
+	edgeMsgs := 2 * int64(tr.Graph().NumEdges()) // each node pulls its neighbourhood once per sweep
+	r := newSweepRun(sig, tileWidths(n, cols, p.ColTile), 1, false)
+	scratch := make([]float64, r.ts.capWidth)
+	return r.drive(p, tol, maxSweeps, func() (int, bool) {
+		perm := rnd.Perm(n)
+		for _, t := range r.live {
+			cr := t.res[0]
+			sc := scratch[:len(cr)]
+			for _, u := range perm {
+				tr.ApplyRowAffine(sc, u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
+				vecmath.ResidMaxCopy(cr, t.cur.Row(u), sc)
 			}
-			copy(row, sc)
-			st.Updates++
-			st.Messages += int64(g.Degree(u))
 		}
-		st.Sweeps = sweep
-		st.Residual = maxOf(cr)
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: sweep, ActiveNodes: n, ActiveColumns: w,
-				Residual: st.Residual, ResidualL1: sumOf(cr),
-				Messages: 2 * int64(g.NumEdges()),
-			})
-		}
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(sweep, cb.act, cur)
-		}
-		keep, done := cb.retireSweep(cr, tol, stop, sweep, cur)
-		if done {
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
-		}
-	}
-	cb.retireAll(maxSweeps, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
-}
-
-// ParallelColumns diffuses a column block with the residual-driven frontier
-// engine. Scheduling is shared across the block: a frontier node's residual
-// is its largest per-column change, and one per-edge staleness accumulator
-// gates sends for the whole block (a send carries every active column, so
-// firing an edge resets the staleness of all columns at once — each
-// column's individual unseen influence per receiver therefore stays within
-// the same tol/4 budget the scalar engine guarantees).
-//
-// Per-column early termination: a column whose largest change over the
-// round's frontier falls to the push threshold pushTol = tol/4 is retired —
-// below that granularity its remaining dynamics are inside the engine's
-// own quiescence budget. Global quiescence (no node re-queued) retires
-// every remaining column.
-func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
-	n, cols, err := checkSignal(tr, sig, p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	tol, maxRounds := p.controls()
-	pushTol := tol / 4
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n && n > 0 {
-		workers = n
-	}
-	cb := newColBlock(n, cols)
-	var st Stats
-	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
-	}
-	if widths := tileWidths(n, cols, p.ColTile); widths != nil {
-		return parallelColumnsTiled(tr, sig, p, widths)
-	}
-	g := tr.Graph()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	next := vecmath.NewMatrix(n, cols)
-	resid := make([]float64, n)
-	queued := make([]atomic.Bool, n)
-	frontier := make([]graph.NodeID, n)
-	for u := range frontier {
-		frontier[u] = u
-	}
-	edgeOff, edgeThr, edgeStale := pushState(tr, pushTol, p.Alpha)
-
-	shards := make([]parShard, workers)
-	for w := range shards {
-		shards[w].colRes = make([]float64, cols)
-	}
-	pool := newWorkerPool(workers)
-	defer pool.close()
-	var cursor atomic.Int64
-	colRound := make([]float64, cols)
-	var obsMsgs int64 // last Messages total handed to the observer
-
-	st.Messages = 2 * int64(g.NumEdges()) // bootstrap announcement, as in Parallel
-
-	// Hoisted claim range for forEachClaimed, as in Parallel.
-	var cum [2]int
-	for round := 1; round <= maxRounds; round++ {
-		w := len(cb.act)
-		// Compute phase: per frontier node, one fused CSR pass advances all
-		// active columns; per-column maxima feed the retirement decision and
-		// the per-node max feeds the shared push scheduling.
-		cum[1] = len(frontier)
-		cursor.Store(0)
-		pool.run(func(id int) {
-			sh := &shards[id]
-			cr := sh.colRes[:w]
-			forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
-				for _, u := range frontier[lo:hi] {
-					row := next.Row(u)
-					tr.ApplyRowAffine(row, u, 1-p.Alpha, cur, p.Alpha, e0c.Row(u))
-					old := cur.Row(u)
-					var nodeRes float64
-					for j, v := range row {
-						d := math.Abs(old[j] - v)
-						if d > cr[j] {
-							cr[j] = d
-						}
-						if d > nodeRes {
-							nodeRes = d
-						}
-					}
-					resid[u] = nodeRes
-					sh.updates++
-				}
-			})
-		})
-		fullRound := len(frontier) == n
-		commit := commitCtx{
-			tr: tr, frontier: frontier, fullRound: fullRound,
-			cur: cur, next: next, resid: resid,
-			edgeOff: edgeOff, edgeThr: edgeThr, edgeStale: edgeStale,
-			queued: queued, cursor: &cursor, cum: [2]int{0, len(frontier)},
-		}
-		cursor.Store(0)
-		pool.run(func(id int) { commit.work(&shards[id]) })
-		if fullRound {
-			cur, next = next, cur
-		}
-		st.Sweeps = round
-		var roundResid float64
-		total := 0
-		cr := colRound[:w]
-		vecmath.Zero(cr)
-		for id := range shards {
-			sh := &shards[id]
-			st.Updates += sh.updates
-			st.Messages += sh.messages
-			if sh.maxResid > roundResid {
-				roundResid = sh.maxResid
-			}
-			for j, v := range sh.colRes[:w] {
-				if v > cr[j] {
-					cr[j] = v
-				}
-			}
-			vecmath.Zero(sh.colRes[:w])
-			sh.updates, sh.messages, sh.maxResid = 0, 0, 0
-			total += len(sh.next)
-		}
-		st.Residual = roundResid
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: round, ActiveNodes: len(frontier), ActiveColumns: w,
-				Residual: roundResid, ResidualL1: sumOf(cr),
-				Messages: st.Messages - obsMsgs,
-			})
-			obsMsgs = st.Messages
-		}
-		if total == 0 {
-			// Global quiescence: every receiver's pending incoming influence
-			// is below tol/4 for every column (per-column staleness never
-			// exceeds the shared accumulator). All remaining columns retire.
-			cb.retireAll(round, cur)
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		frontier = rebuildFrontier(shards, queued, frontier)
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(round, cb.act, cur)
-		}
-		keep, done := cb.retireSweep(cr, pushTol, stop, round, cur)
-		if done {
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
-			next = vecmath.NewMatrix(n, len(keep))
-		}
-	}
-	cb.retireAll(maxRounds, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d rounds (residual %g)", ErrNoConvergence, maxRounds, st.Residual)
-}
-
-// maxOf returns the largest value of v (0 for an empty slice).
-func maxOf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+		r.st.Updates += int64(n)
+		r.st.Messages += edgeMsgs
+		return n, false
+	})
 }

@@ -18,13 +18,14 @@ import "diffusearch/internal/vecmath"
 //
 //   - Stop(sweep, act, cur) is called once per sweep (Sync/Async/GS) or
 //     frontier round (Parallel), after the iterate is consistent and before
-//     the engine's own residual-based retirement. On the column-tiled wide
-//     batch path (Params.ColTile) the engine makes one such call per live
-//     tile within the sweep, each covering that tile's slots — the union of
-//     a sweep's calls sees exactly the active block once.
+//     the engine's own residual-based retirement. The sweep driver makes
+//     one such call per live column tile within the sweep (one tile by
+//     default, several under Params.ColTile), each covering that tile's
+//     slots — the union of a sweep's calls sees exactly the active block
+//     once.
 //   - act maps the active block's compact slots to original column indices
 //     (it shrinks as columns retire); cur is the n×len(act) current iterate
-//     whose column k holds original column act[k]. On the tiled path act
+//     whose column k holds original column act[k]. With several tiles act
 //     and cur describe one tile.
 //   - The returned slice flags compact slots to retire now: stop[k] retires
 //     original column act[k] with its current values. nil (or all-false)

@@ -4,31 +4,23 @@ import (
 	"diffusearch/internal/vecmath"
 )
 
-// Column tiling: wide signals (B ≥ wideTileMin) are split into column
-// tiles of T columns held in physically separate matrices, and each sweep
-// runs tile by tile. Two effects pay for the restructure:
+// Column plan: every Signal run diffuses its batch as an ordered list of
+// column tiles held in physically separate matrices, and each sweep runs
+// tile by tile (see sweep.go). The default plan is one tile spanning the
+// batch. Wide signals (B ≥ wideTileMin) are split into tiles of T columns
+// so the per-tile iterate (n×T) fits in L2 next to the streamed CSR row
+// data, where the full n×B iterate of a wide batch does not — the gathered
+// source rows of the affine kernel stop missing to outer cache levels.
 //
-//   - The per-tile iterate (n×T) fits in L2 next to the streamed CSR row
-//     data, where the full n×B iterate of a wide batch does not, so the
-//     gathered source rows of the affine kernel stop missing to outer
-//     cache levels.
-//   - The tile rows feed the SIMD affine kernel
-//     (graph.Transition.ApplyRowAffineVec), which performs one IEEE
-//     multiply/add per scalar multiply/add of the legacy kernel in the
-//     same per-element order — bit-identical values, several times the
-//     throughput.
-//
-// Tiling is a pure loop-order change: per-column trajectories, residuals,
+// The plan is a pure loop-order choice: per-column trajectories, residuals,
 // retirement sweeps (Stats.ColumnSweeps), and Observer sweep aggregates
-// are bit-for-bit identical to the untiled kernels. Params.ColTile
-// selects the policy: 0 auto-tiles wide signals with a width from the
-// cache model below, a negative value disables tiling (the legacy
-// untiled kernels run unchanged), and a positive value forces that tile
-// width at any batch width.
+// are bit-for-bit identical for every plan. Params.ColTile selects it: 0
+// picks the width from the cache model below (one tile below wideTileMin),
+// a positive value forces that tile width at any batch width (≥ B means
+// one tile).
 const (
 	// wideTileMin is the batch width at which auto-tiling engages. Below
-	// it the whole iterate comfortably fits cache and the untiled kernels
-	// already saturate the CPU.
+	// it the whole iterate comfortably fits cache.
 	wideTileMin = 256
 	// tileL2Bytes is the cache model's per-core L2 budget for one tile of
 	// the source iterate; the CSR row stream is sequential and prefetched,
@@ -42,56 +34,39 @@ const (
 )
 
 // tileWidths plans the column tile widths for a batch of cols columns
-// over an n-node graph. nil means run untiled.
+// over an n-node graph: the widths sum to cols, and a single entry means
+// the batch runs as one tile.
 func tileWidths(n, cols, colTile int) []int {
-	t := 0
-	switch {
-	case colTile < 0:
-		return nil
-	case colTile > 0:
-		t = colTile
-	default:
-		if cols < wideTileMin || n == 0 {
-			return nil
-		}
-		// Tile fits L2 alongside the CSR row stream: T ≈ L2 / (8n),
-		// rounded down to a multiple of 8 for row alignment.
-		t = tileL2Bytes / (8 * n) &^ 7
-		if t < tileMinWidth {
-			t = tileMinWidth
+	t := colTile
+	if t == 0 {
+		t = cols
+		if cols >= wideTileMin && n > 0 {
+			// Tile fits L2 alongside the CSR row stream: T ≈ L2 / (8n),
+			// rounded down to a multiple of 8 for row alignment.
+			t = max(tileL2Bytes/(8*n)&^7, tileMinWidth)
 		}
 	}
-	if t >= cols || t <= 0 {
-		return nil
+	if t >= cols {
+		return []int{cols}
 	}
 	widths := make([]int, 0, (cols+t-1)/t)
 	for rem := cols; rem > 0; rem -= t {
-		w := t
-		if rem < t {
-			w = rem // ragged final tile
-		}
-		widths = append(widths, w)
+		widths = append(widths, min(t, rem)) // ragged final tile
 	}
 	return widths
 }
 
 // AutoTileWidth reports the tile width the auto policy (ColTile 0) picks
-// for a cols-wide batch on an n-node graph; 0 means auto runs untiled.
-// Exported so benchmarks and admin surfaces can report the realized width
-// without re-deriving the cache model.
-func AutoTileWidth(n, cols int) int {
-	w := tileWidths(n, cols, 0)
-	if w == nil {
-		return 0
-	}
-	return w[0]
-}
+// for a cols-wide batch on an n-node graph; cols itself means auto runs
+// the batch as one tile. Exported so benchmarks and admin surfaces can
+// report the realized width without re-deriving the cache model.
+func AutoTileWidth(n, cols int) int { return tileWidths(n, cols, 0)[0] }
 
-// colTile is one column tile of a tiled run: a private slice of the batch
-// with its own compact active block (cb.act is tile-local; out and sweeps
-// are shared across tiles through the embedded colBlock), iterate
-// matrices, and residual scratch. Tiles only ever shrink — retirement
-// repacks within a tile, never rebalances across tiles.
+// colTile is one column tile of a run: a private slice of the batch with
+// its own compact active block (cb.act is tile-local; out and sweeps are
+// shared across tiles through the embedded colBlock) and iterate matrices.
+// Tiles only ever shrink — retirement repacks within a tile, never
+// rebalances across tiles.
 type colTile struct {
 	cb  colBlock
 	cur *vecmath.Matrix
@@ -105,7 +80,10 @@ type colTile struct {
 	e0v  *vecmath.Matrix // input matrix backing the view
 	e0lo int             // first input column of the view
 	next *vecmath.Matrix // nil for the in-place engines
-	cr   []float64       // per active slot: this sweep's residual max
+	// res[w][k] is worker w's residual maximum for active slot k over the
+	// sweep in progress — the cr argument of vecmath.ResidMax*. One slice
+	// per worker so goroutines never share a residual slot.
+	res [][]float64
 }
 
 // width returns the tile's current active width.
@@ -140,9 +118,21 @@ func (t *colTile) retireSweep(cr []float64, thresh float64, stop []bool, sweep i
 	if t.next != nil {
 		t.next = vecmath.NewMatrix(t.cur.Rows(), len(keep))
 	}
+	for w := range t.res {
+		t.res[w] = t.res[w][:len(keep)]
+	}
 }
 
-// tileSet is the shared state of one tiled run: the finalized output and
+// newRes allocates zeroed residual slots for a width-wide tile.
+func newRes(workers, width int) [][]float64 {
+	res := make([][]float64, workers)
+	for w := range res {
+		res[w] = make([]float64, width)
+	}
+	return res
+}
+
+// tileSet is the column state of one run: the finalized output and
 // per-column sweep counts (shared by every tile's colBlock) plus the
 // tiles in column order.
 type tileSet struct {
@@ -157,16 +147,17 @@ type tileSet struct {
 	capWidth int
 }
 
-// newTileSet splits sig into tiles of the planned widths. needNext
-// allocates the double-buffer matrices used by the barrier engines; the
-// in-place engines pass false.
-func newTileSet(sig *Signal, widths []int, needNext bool) *tileSet {
+// newTileSet splits sig into tiles of the planned widths, each with
+// residual slots for workers goroutines. needNext allocates the
+// double-buffer matrices used by the barrier engines; the in-place engines
+// pass false.
+func newTileSet(sig *Signal, widths []int, workers int, needNext bool) *tileSet {
 	n, cols := sig.mat.Rows(), sig.mat.Cols()
 	ts := &tileSet{
 		out:      vecmath.NewMatrix(n, cols),
 		sweeps:   make([]int, cols),
 		tiles:    make([]*colTile, 0, len(widths)),
-		capWidth: maxWidth(widths),
+		capWidth: widths[0], // full tiles first; only the last is ragged
 	}
 	lo := 0
 	for _, w := range widths {
@@ -183,7 +174,7 @@ func newTileSet(sig *Signal, widths []int, needNext bool) *tileSet {
 			cur:  cur,
 			e0v:  sig.mat,
 			e0lo: lo,
-			cr:   make([]float64, w),
+			res:  newRes(workers, w),
 		}
 		if needNext {
 			t.next = vecmath.NewMatrix(n, w)
@@ -200,7 +191,7 @@ func newTileSet(sig *Signal, widths []int, needNext bool) *tileSet {
 // ordered partitions of the batch, and every engine's per-column work is
 // independent of how active columns are grouped into tiles, so merging
 // preserves bit-identity (the concatenated compact order — the order the
-// observer and untiled kernels see — is unchanged) while restoring full
+// observer and the residual merge see — is unchanged) while restoring full
 // kernel widths for the tail of the run.
 func (ts *tileSet) live(dst []*colTile) []*colTile {
 	dst = dst[:0]
@@ -247,7 +238,7 @@ func coalesceTiles(group []*colTile, w int) *colTile {
 		cb:  colBlock{act: make([]int, 0, w), out: group[0].cb.out, sweeps: group[0].cb.sweeps},
 		cur: vecmath.NewMatrix(n, w),
 		e0c: vecmath.NewMatrix(n, w),
-		cr:  make([]float64, w),
+		res: newRes(len(group[0].res), w),
 	}
 	if group[0].next != nil {
 		m.next = vecmath.NewMatrix(n, w)
@@ -281,23 +272,4 @@ func (ts *tileSet) retireAll(sweep int) {
 			t.cb.retireAll(sweep, t.cur)
 		}
 	}
-}
-
-// signal assembles the run's output Signal and stamps ColumnSweeps, like
-// colBlock.signal.
-func (ts *tileSet) signal(st *Stats) *Signal {
-	st.ColumnSweeps = ts.sweeps
-	return &Signal{mat: ts.out}
-}
-
-// mergeResiduals copies each live tile's per-slot residuals into the
-// global compact layout (tiles concatenated in order) so Residual and
-// ResidualL1 aggregate in exactly the untiled kernels' slot order —
-// keeping the observer's sums bit-identical, not just equal in value.
-func mergeResiduals(live []*colTile, global []float64) []float64 {
-	off := 0
-	for _, t := range live {
-		off += copy(global[off:off+t.width()], t.cr[:t.width()])
-	}
-	return global[:off]
 }

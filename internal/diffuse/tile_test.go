@@ -14,14 +14,16 @@ func TestTileWidths(t *testing.T) {
 		n, cols, colTile int
 		want             []int
 	}{
-		{"disabled", 4039, 512, -1, nil},
-		{"narrow batch stays untiled on auto", 4039, 255, 0, nil},
+		{"narrow batch is one tile on auto", 4039, 255, 0, []int{255}},
 		{"explicit override below auto threshold", 70, 8, 7, []int{7, 1}},
 		{"explicit exact multiple", 70, 21, 7, []int{7, 7, 7}},
-		{"explicit wider than batch", 70, 5, 7, nil},
-		{"auto small graph fits whole batch in L2", 70, 512, 0, nil},
+		{"explicit wider than batch is one tile", 70, 5, 7, []int{5}},
+		{"explicit width of the batch is one tile", 70, 512, 512, []int{512}},
+		{"auto small graph fits whole batch in L2", 70, 512, 0, []int{512}},
 		{"auto big graph tiles", 4039, 512, 0, []int{64, 64, 64, 64, 64, 64, 64, 64}},
 		{"auto big graph ragged tail", 4039, 300, 0, []int{64, 64, 64, 64, 44}},
+		{"empty batch", 70, 0, 0, []int{0}},
+		{"empty graph", 0, 512, 0, []int{512}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -31,23 +33,42 @@ func TestTileWidths(t *testing.T) {
 			}
 			sum := 0
 			for _, w := range got {
-				if w <= 0 {
+				if w <= 0 && c.cols > 0 {
 					t.Fatalf("non-positive tile width in %v", got)
 				}
 				sum += w
 			}
-			if got != nil && sum != c.cols {
+			if sum != c.cols {
 				t.Fatalf("tile widths %v sum to %d, want %d", got, sum, c.cols)
 			}
 		})
 	}
 }
 
-// TestTiledBitIdenticalToUntiled is the tiling correctness property: for
-// every engine, forcing any column tiling (including ragged final tiles)
-// must reproduce the untiled run bit for bit — scores, Stats,
-// per-column sweep counts, and the Observer's per-sweep records alike.
-// Tiling is a loop-order change only.
+// TestNegativeColTileRejected pins the two-mode knob: there is no
+// "disable tiling" mode to select any more, so a negative width is a
+// caller bug every engine reports before touching the signal.
+func TestNegativeColTileRejected(t *testing.T) {
+	tr := signalGraph(t)
+	e0 := sparseColumns(3, tr.Graph().NumNodes(), 4)
+	for _, eng := range []Engine{EngineSync, EngineAsynchronous, EngineParallel, EngineParallelGS} {
+		if _, _, err := RunSignal(eng, tr, NewSignal(e0), Params{Alpha: 0.5, ColTile: -1}, 1); err == nil {
+			t.Errorf("RunSignal(%v) accepted ColTile -1", eng)
+		}
+		if _, _, err := Run(eng, tr, e0, Params{Alpha: 0.5, ColTile: -1}, 1); err == nil {
+			t.Errorf("Run(%v) accepted ColTile -1", eng)
+		}
+	}
+}
+
+// TestTiledBitIdenticalToUntiled is the column-plan correctness property:
+// for every engine, any column tiling — a forced width with a ragged final
+// tile, the auto policy, a width that divides nothing evenly — must
+// reproduce the one-tile plan (ColTile = B, the layout formerly called
+// untiled) bit for bit — scores, Stats, per-column sweep counts, and the
+// Observer's per-sweep records alike. The plan is a loop-order change
+// only. That the one-tile plan itself is right is the oracle test's job
+// (TestEnginesMatchDenseClosedForm).
 func TestTiledBitIdenticalToUntiled(t *testing.T) {
 	tr := signalGraph(t)
 	n := tr.Graph().NumNodes()
@@ -73,22 +94,23 @@ func TestTiledBitIdenticalToUntiled(t *testing.T) {
 						}
 						return out, st, obs
 					}
-					plain, pst, pobs := run(-1)
-					tiled, tst, tobs := run(tile)
-
-					if d := vecmath.MaxAbsDiffMatrix(tiled.Matrix(), plain.Matrix()); d != 0 {
-						t.Errorf("tiled output differs from untiled by %g (must be bit-identical)", d)
-					}
-					if tst.Sweeps != pst.Sweeps || tst.Updates != pst.Updates ||
-						tst.Messages != pst.Messages || tst.Residual != pst.Residual ||
-						tst.Converged != pst.Converged {
-						t.Errorf("stats diverged: tiled %+v vs untiled %+v", tst, pst)
-					}
-					if !reflect.DeepEqual(tst.ColumnSweeps, pst.ColumnSweeps) {
-						t.Errorf("ColumnSweeps diverged: tiled %v vs untiled %v", tst.ColumnSweeps, pst.ColumnSweeps)
-					}
-					if !reflect.DeepEqual(tobs.stats, pobs.stats) {
-						t.Errorf("observer records diverged:\ntiled   %+v\nuntiled %+v", tobs.stats, pobs.stats)
+					plain, pst, pobs := run(b) // one tile spanning the batch
+					for _, colTile := range []int{tile, 0, 3} {
+						tiled, tst, tobs := run(colTile)
+						if d := vecmath.MaxAbsDiffMatrix(tiled.Matrix(), plain.Matrix()); d != 0 {
+							t.Errorf("ColTile %d: output differs from one tile by %g (must be bit-identical)", colTile, d)
+						}
+						if tst.Sweeps != pst.Sweeps || tst.Updates != pst.Updates ||
+							tst.Messages != pst.Messages || tst.Residual != pst.Residual ||
+							tst.Converged != pst.Converged {
+							t.Errorf("ColTile %d: stats diverged: tiled %+v vs one tile %+v", colTile, tst, pst)
+						}
+						if !reflect.DeepEqual(tst.ColumnSweeps, pst.ColumnSweeps) {
+							t.Errorf("ColTile %d: ColumnSweeps diverged: tiled %v vs one tile %v", colTile, tst.ColumnSweeps, pst.ColumnSweeps)
+						}
+						if !reflect.DeepEqual(tobs.stats, pobs.stats) {
+							t.Errorf("ColTile %d: observer records diverged:\ntiled    %+v\none tile %+v", colTile, tobs.stats, pobs.stats)
+						}
 					}
 				})
 			}

@@ -21,10 +21,10 @@ func x86HasAVX2() bool
 //go:noescape
 func affineRowAVX2(dst []float64, coeff float64, nbrs []int, ws []float64, src []float64, stride int, tele float64, e0 []float64)
 
-// applyRowAffineVec dispatches one affine CSR-row accumulation to the AVX2
+// applyRowAffine dispatches one affine CSR-row accumulation to the AVX2
 // kernel when available, else to the portable Go kernel. Same contract and
 // bit-identical output either way.
-func applyRowAffineVec(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
+func applyRowAffine(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	if hasVec {
 		affineRowAVX2(dst, coeff, nbrs, ws, src.Data(), src.Cols(), tele, e0row)
 		return

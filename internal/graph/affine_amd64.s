@@ -2,7 +2,11 @@
 // The per-element expression tree matches applyRowAffineKernel exactly —
 // one VMULPD/VADDPD per scalar MUL/ADD in the same order — so outputs are
 // bit-for-bit identical to the pure-Go kernel (IEEE ops are deterministic
-// elementwise and addition commutes in value).
+// elementwise and addition commutes in value). The scalar column tails are
+// VEX-encoded (VMOVSD/VMULSD/VADDSD) like the vector loops: a legacy-SSE
+// instruction issued while the upper YMM halves are dirty costs an AVX–SSE
+// transition per instruction, which made every width with width%4 != 0 —
+// width 1 above all — slower than the Go body.
 
 #include "textflag.h"
 
@@ -70,9 +74,9 @@ init4:
 init_tail:
 	CMPQ AX, CX
 	JGE  edges
-	MOVSD (R12)(AX*8), X0
-	MULSD X15, X0
-	MOVSD X0, (DI)(AX*8)
+	VMOVSD (R12)(AX*8), X0
+	VMULSD X15, X0, X0
+	VMOVSD X0, (DI)(AX*8)
 	INCQ AX
 	JMP  init_tail
 
@@ -130,19 +134,19 @@ quad4:
 quad_tail:
 	CMPQ AX, CX
 	JGE  quad_next
-	MOVSD (R13)(AX*8), X0
-	MULSD X10, X0
-	MOVSD (R14)(AX*8), X1
-	MULSD X11, X1
-	ADDSD X1, X0
-	MOVSD (R15)(AX*8), X1
-	MULSD X12, X1
-	ADDSD X1, X0
-	MOVSD (R12)(AX*8), X1
-	MULSD X13, X1
-	ADDSD X1, X0
-	ADDSD (DI)(AX*8), X0
-	MOVSD X0, (DI)(AX*8)
+	VMOVSD (R13)(AX*8), X0
+	VMULSD X10, X0, X0
+	VMOVSD (R14)(AX*8), X1
+	VMULSD X11, X1, X1
+	VADDSD X1, X0, X0
+	VMOVSD (R15)(AX*8), X1
+	VMULSD X12, X1, X1
+	VADDSD X1, X0, X0
+	VMOVSD (R12)(AX*8), X1
+	VMULSD X13, X1, X1
+	VADDSD X1, X0, X0
+	VADDSD (DI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
 	INCQ AX
 	JMP  quad_tail
 quad_next:
@@ -171,10 +175,10 @@ rem4:
 rem_tail:
 	CMPQ AX, CX
 	JGE  rem_next
-	MOVSD (R13)(AX*8), X0
-	MULSD X10, X0
-	ADDSD (DI)(AX*8), X0
-	MOVSD X0, (DI)(AX*8)
+	VMOVSD (R13)(AX*8), X0
+	VMULSD X10, X0, X0
+	VADDSD (DI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
 	INCQ AX
 	JMP  rem_tail
 rem_next:

@@ -8,6 +8,6 @@ import "diffusearch/internal/vecmath"
 // the only implementation.
 const hasVec = false
 
-func applyRowAffineVec(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
+func applyRowAffine(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	applyRowAffineKernel(dst, coeff, nbrs, ws, src, tele, e0row)
 }

@@ -50,67 +50,30 @@ func TestApplyRowAffineMatchesUnfusedSequence(t *testing.T) {
 	}
 }
 
-func TestApplyRowAffine2MatchesApplyRowAffine(t *testing.T) {
-	// The historical 2-edge kernel must agree with the shipped 4-edge
-	// kernel up to rounding on every degree shape, including the star's
-	// hub (degree n-1: exercises the unrolled body) and leaves (degree 1:
-	// pure tail).
-	for _, dim := range []int{1, 2, 5, 64} {
-		for name, g := range map[string]*Graph{"random": randomGraph(202, 40, 0.2), "star": star(17)} {
-			src := vecmath.NewMatrix(g.NumNodes(), dim)
-			e0 := make([]float64, dim)
-			for u := 0; u < g.NumNodes(); u++ {
-				for j := 0; j < dim; j++ {
-					src.Set(u, j, math.Cos(float64(u+3*j)))
-				}
-			}
-			for j := range e0 {
-				e0[j] = 0.1 * float64(j)
-			}
-			tr := NewTransition(g, ColumnStochastic)
-			for u := 0; u < g.NumNodes(); u++ {
-				two := make([]float64, dim)
-				four := make([]float64, dim)
-				tr.ApplyRowAffine2(two, u, 0.5, src, 0.5, e0)
-				tr.ApplyRowAffine(four, u, 0.5, src, 0.5, e0)
-				for j := 0; j < dim; j++ {
-					if d := math.Abs(two[j] - four[j]); d > 1e-12 {
-						t.Fatalf("%s dim=%d node %d col %d: unroll2 %v vs unroll4 %v",
-							name, dim, u, j, two[j], four[j])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestApplyRowAffineWidthMismatchPanics(t *testing.T) {
-	for name, kernel := range map[string]func(*Transition, []float64, NodeID, float64, *vecmath.Matrix, float64, []float64){
-		"unroll4": (*Transition).ApplyRowAffine,
-		"unroll2": (*Transition).ApplyRowAffine2,
-	} {
-		t.Run(name, func(t *testing.T) {
-			tr := NewTransition(triangle(), ColumnStochastic)
-			src := vecmath.NewMatrix(3, 2)
-			defer func() {
-				if recover() == nil {
-					t.Fatal("want panic on width mismatch")
-				}
-			}()
-			kernel(tr, make([]float64, 3), 0, 1, src, 0.5, make([]float64, 3))
-		})
-	}
+	tr := NewTransition(triangle(), ColumnStochastic)
+	src := vecmath.NewMatrix(3, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic on width mismatch")
+		}
+	}()
+	tr.ApplyRowAffine(make([]float64, 3), 0, 1, src, 0.5, make([]float64, 3))
 }
 
-// BenchmarkApplyRowAffine compares the shipped 4-edge kernel against the
-// historical 2-edge variant across serving batch widths (the ROADMAP
-// profile-guided-kernel item; the 4-edge unroll won and was promoted).
-// cmd/benchjson re-runs the same comparison on the paper-scale graph and
-// records it in BENCH_diffuse.json.
+// BenchmarkApplyRowAffine times one full pass of the single affine entry
+// (the SIMD kernel where the CPU has one — the "asm" rows) against the
+// portable Go body across batch widths: the serving widths 1 and 8, the
+// one- and three-column tails a retiring tile shrinks through, and a wide
+// row with and without a ragged tail. It is the committed reproducer for
+// the width table in CHANGES.md (PR 12): the SIMD body must not lose to
+// the Go body at any width, which is what lets every engine call it
+// unconditionally.
 func BenchmarkApplyRowAffine(b *testing.B) {
 	g := randomGraph(303, 2000, 0.01)
 	n := g.NumNodes()
-	for _, width := range []int{1, 8, 64} {
+	tr := NewTransition(g, ColumnStochastic)
+	for _, width := range []int{1, 3, 4, 8, 64, 67} {
 		src := vecmath.NewMatrix(n, width)
 		for u := 0; u < n; u++ {
 			for j := 0; j < width; j++ {
@@ -119,18 +82,17 @@ func BenchmarkApplyRowAffine(b *testing.B) {
 		}
 		e0 := make([]float64, width)
 		dst := make([]float64, width)
-		tr := NewTransition(g, ColumnStochastic)
-		b.Run(fmt.Sprintf("unroll2/B=%d", width), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for u := 0; u < n; u++ {
-					tr.ApplyRowAffine2(dst, u, 0.5, src, 0.5, e0)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("unroll4/B=%d", width), func(b *testing.B) {
+		b.Run(fmt.Sprintf("asm/B=%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for u := 0; u < n; u++ {
 					tr.ApplyRowAffine(dst, u, 0.5, src, 0.5, e0)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("go/B=%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for u := 0; u < n; u++ {
+					applyRowAffineGo(tr, dst, u, 0.5, src, 0.5, e0)
 				}
 			}
 		})

@@ -196,30 +196,27 @@ func applyRowKernel(dst []float64, coeff float64, nbrs []NodeID, ws []float64, s
 // src[v] in one fused pass: the teleport term seeds dst (replacing the
 // separate Zero + AXPY passes of the eq. 7 kernels) and the CSR row
 // accumulates on top, four edges at a time so each dst element is
-// loaded/stored once per edge quad. The batch scoring engines use it on
-// their hot path; note the addition order differs from Zero+ApplyRow+AXPY,
-// so results are equal only up to rounding — callers needing
-// bit-compatibility with the historical synchronous filter must keep the
-// unfused sequence.
-//
-// The kernel shipped 2-edge-unrolled through PR 2; the ROADMAP
-// profile-guided-kernel item asked for a 4-edge evaluation, and the wider
-// unroll won at every serving batch width (B=1/8/64, 10–26% on the
-// evaluation hardware: four streamed source rows hide load latency better
-// without spilling the accumulator row). ApplyRowAffine2 preserves the
-// 2-edge kernel so cmd/benchjson can keep recording the comparison in
-// BENCH_diffuse.json's apply_row_affine rows.
+// loaded/stored once per edge quad. It is the single affine entry of the
+// diffusion engines: on amd64 with AVX2 (see HasVectorKernel) the body is
+// the SIMD kernel of affine_amd64.s, elsewhere the portable Go kernel
+// below, and the two are bit-for-bit identical at every width (one IEEE
+// multiply/add per scalar multiply/add, same per-element order). Note the
+// addition order differs from Zero+ApplyRow+AXPY, so results are equal to
+// that sequence only up to rounding — callers needing bit-compatibility
+// with the historical synchronous filter must keep the unfused sequence.
 func (t *Transition) ApplyRowAffine(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	if len(dst) != src.Cols() || len(e0row) != len(dst) {
 		panic(fmt.Sprintf("graph: ApplyRowAffine width mismatch dst=%d e0=%d src=%d", len(dst), len(e0row), src.Cols()))
 	}
 	start, end := t.g.offsets[u], t.g.offsets[u+1]
-	applyRowAffineKernel(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src, tele, e0row)
+	applyRowAffine(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src, tele, e0row)
 }
 
-// applyRowAffineKernel is the shared 4-edge-unrolled body behind
+// applyRowAffineKernel is the portable 4-edge-unrolled Go body of
 // Transition.ApplyRowAffine and TransitionShard.ApplyRowAffine (see
-// applyRowKernel for why the row slices are shared).
+// applyRowKernel for why the row slices are shared): the fallback where no
+// SIMD kernel exists, and the reference the bit-identity test holds the
+// SIMD kernel to.
 func applyRowAffineKernel(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	e := e0row[:len(dst)]
 	for j := range dst {
@@ -254,62 +251,11 @@ func applyRowAffineKernel(dst []float64, coeff float64, nbrs []NodeID, ws []floa
 	}
 }
 
-// HasVectorKernel reports whether ApplyRowAffineVec runs on a SIMD
+// HasVectorKernel reports whether ApplyRowAffine runs on a SIMD
 // implementation (amd64 with AVX2) rather than the portable Go kernel.
 // Exposed so benchmarks and snapshot metadata can record which body
 // produced a measurement.
 func HasVectorKernel() bool { return hasVec }
-
-// ApplyRowAffineVec is ApplyRowAffine backed by a SIMD kernel when the CPU
-// has one (see HasVectorKernel). The vector body performs one IEEE
-// multiply/add per scalar multiply/add of applyRowAffineKernel in the same
-// per-element order, so the two are bit-for-bit identical; the tiled
-// wide-batch kernels in internal/diffuse call this on their hot path and
-// stay exactly equal to the untiled scalar path.
-func (t *Transition) ApplyRowAffineVec(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
-	if len(dst) != src.Cols() || len(e0row) != len(dst) {
-		panic(fmt.Sprintf("graph: ApplyRowAffineVec width mismatch dst=%d e0=%d src=%d", len(dst), len(e0row), src.Cols()))
-	}
-	start, end := t.g.offsets[u], t.g.offsets[u+1]
-	applyRowAffineVec(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src, tele, e0row)
-}
-
-// ApplyRowAffine2 is the historical 2-edge-unrolled kernel, kept as the
-// evaluation counterpart of the shipped 4-edge ApplyRowAffine (see its doc
-// comment): cmd/benchjson times both on the paper-scale graph so the
-// BENCH_diffuse.json apply_row_affine rows keep justifying the choice on
-// the recording hardware. Summation order differs between the unrolls, so
-// outputs agree only up to rounding.
-func (t *Transition) ApplyRowAffine2(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
-	if len(dst) != src.Cols() || len(e0row) != len(dst) {
-		panic(fmt.Sprintf("graph: ApplyRowAffine2 width mismatch dst=%d e0=%d src=%d", len(dst), len(e0row), src.Cols()))
-	}
-	e := e0row[:len(dst)]
-	for j := range dst {
-		dst[j] = tele * e[j]
-	}
-	start, end := t.g.offsets[u], t.g.offsets[u+1]
-	i := start
-	for ; i+1 < end; i += 2 {
-		w1 := coeff * t.weights[i]
-		w2 := coeff * t.weights[i+1]
-		r1 := src.Row(t.g.neighbors[i])
-		r2 := src.Row(t.g.neighbors[i+1])
-		d := dst[:len(r1)]
-		r2 = r2[:len(r1)]
-		for j, x := range r1 {
-			d[j] += w1*x + w2*r2[j]
-		}
-	}
-	if i < end {
-		w := coeff * t.weights[i]
-		row := src.Row(t.g.neighbors[i])
-		d := dst[:len(row)]
-		for j, x := range row {
-			d[j] += w * x
-		}
-	}
-}
 
 // Apply computes dst[u] = Σ_{v∈N(u)} A[u][v] · src[v] for a scalar signal.
 // dst and src must have length NumNodes and must not alias.

@@ -64,6 +64,7 @@ type Peer struct {
 	queries    map[string]*peerQueryState         // per-query protocol memory (bounded, see maxQueryStates)
 	queryOrder []string                           // insertion order for FIFO eviction of queries
 	waiters    map[string]chan []retrieval.Result // origin-side response collectors
+	querySeq   atomic.Uint64                      // distinguishes this peer's queries; see newQueryID
 	updates    atomic.Int64
 	messages   atomic.Int64
 
@@ -647,7 +648,7 @@ func (p *Peer) Query(embedding []float64, ttl, k int, timeout time.Duration) ([]
 	if k < 1 {
 		k = 1
 	}
-	id := "q" + strconv.Itoa(int(p.cfg.ID)) + "-" + strconv.FormatInt(time.Now().UnixNano(), 36)
+	id := p.newQueryID(time.Now())
 	waiter := make(chan []retrieval.Result, 1)
 	p.mu.Lock()
 	p.waiters[id] = waiter
@@ -675,6 +676,18 @@ func (p *Peer) Query(embedding []float64, ttl, k int, timeout time.Duration) ([]
 	case <-time.After(timeout):
 		return nil, fmt.Errorf("peernet: query %s timed out after %v", id, timeout)
 	}
+}
+
+// newQueryID names a query started by this peer at now:
+// q<peer>-<clock>-<sequence>. The clock keeps a restarted peer from reusing
+// ids its neighbours still hold protocol state for; the per-peer sequence
+// number keeps two concurrent Query calls that read the same clock value
+// apart — sharing an id, one would lose its waiter and time out while its
+// stray response looped origin→origin until shutdown.
+func (p *Peer) newQueryID(now time.Time) string {
+	return "q" + strconv.Itoa(int(p.cfg.ID)) +
+		"-" + strconv.FormatInt(now.UnixNano(), 36) +
+		"-" + strconv.FormatUint(p.querySeq.Add(1), 36)
 }
 
 func (p *Peer) scoreNeighbor(v graph.NodeID, query []float64) float64 {

@@ -16,9 +16,17 @@ import (
 // first consumes one token, so tests decide exactly when batches complete
 // and therefore what the collector sees queued. Scores are a deterministic
 // function of the query (its component sum), so fan-out is verifiable.
+//
+// openGate lifts the gate for good. newTestScheduler registers it as a
+// cleanup that runs before the scheduler's Close, so a t.Fatalf in a gated
+// test fails with its message instead of parking Close behind a backend
+// nobody will release until the package timeout.
 type stubBackend struct {
 	gate    chan struct{}
 	entered chan struct{} // signalled (buffered) on every ScoreBatch entry
+
+	openOnce sync.Once
+	open     chan struct{} // closed by openGate; see opened
 
 	mu     sync.Mutex
 	widths []int    // realized width of every dispatched batch
@@ -27,10 +35,16 @@ type stubBackend struct {
 
 func (b *stubBackend) ScoreBatch(qs [][]float64, _ core.DiffusionRequest) ([][]float64, diffuse.Stats, error) {
 	if b.entered != nil {
-		b.entered <- struct{}{}
+		select {
+		case b.entered <- struct{}{}:
+		case <-b.opened():
+		}
 	}
 	if b.gate != nil {
-		<-b.gate
+		select {
+		case <-b.gate:
+		case <-b.opened():
+		}
 	}
 	b.mu.Lock()
 	b.widths = append(b.widths, len(qs))
@@ -52,6 +66,21 @@ func (b *stubBackend) ScoreBatch(qs [][]float64, _ core.DiffusionRequest) ([][]f
 }
 
 func (b *stubBackend) release() { b.gate <- struct{}{} }
+
+// opened returns the channel openGate closes, creating it on first use so
+// the stub's zero value stays usable.
+func (b *stubBackend) opened() chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.open == nil {
+		b.open = make(chan struct{})
+	}
+	return b.open
+}
+
+// openGate stops gating: blocked and future ScoreBatch calls proceed
+// without tokens. Idempotent.
+func (b *stubBackend) openGate() { b.openOnce.Do(func() { close(b.opened()) }) }
 func (b *stubBackend) batchWidths() []int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -92,6 +121,11 @@ func newTestScheduler(t *testing.T, b Backend, cfg Config) *Scheduler {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	// Cleanups run last-in first-out: a gated stub opens before Close waits
+	// on the collector.
+	if g, ok := b.(interface{ openGate() }); ok {
+		t.Cleanup(g.openGate)
+	}
 	return s
 }
 

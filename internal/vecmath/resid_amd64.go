@@ -17,15 +17,19 @@ func residMaxCopyAVX2(cr, row, sc []float64) float64
 //go:noescape
 func residMaxAVX2(cr, old, upd []float64) float64
 
+// Below one vector of columns the AVX2 bodies would run only their scalar
+// tails behind a mask set-up, a horizontal fold and a VZEROUPPER; the Go
+// bodies are the same handful of scalar operations without the call.
+
 func residMaxCopy(cr, row, sc []float64) float64 {
-	if hasResidVec {
+	if hasResidVec && len(cr) >= 4 {
 		return residMaxCopyAVX2(cr, row, sc)
 	}
 	return residMaxCopyGo(cr, row, sc)
 }
 
 func residMax(cr, old, upd []float64) float64 {
-	if hasResidVec {
+	if hasResidVec && len(cr) >= 4 {
 		return residMaxAVX2(cr, old, upd)
 	}
 	return residMaxGo(cr, old, upd)
