@@ -270,7 +270,7 @@ func BenchmarkFastNodeScores(b *testing.B) {
 	query := env.Bench.Vocabulary().Vector(pair.Query)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.FastNodeScores(query, 0.5, 0); err != nil {
+		if _, _, err := net.ScoreBatch([][]float64{query}, core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -375,10 +375,11 @@ func BenchmarkRunQueryGreedyTTL50(b *testing.B) {
 		b.Fatal(err)
 	}
 	query := env.Bench.Vocabulary().Vector(pair.Query)
-	scores, err := net.FastNodeScores(query, 0.5, 0)
+	batch, _, err := net.ScoreBatch([][]float64{query}, core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
+	scores := batch[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		origin := i % env.Graph.NumNodes()

@@ -14,8 +14,8 @@
 //
 // BenchmarkScoreBatch rows (batch widths 1/8/64) time the unified request
 // API's multi-column query scoring on the Parallel engine against the
-// sequential baseline of B independent FastNodeScores calls; the batch=64
-// row is the ScoreBatch amortization acceptance number.
+// sequential baseline of B independent single-query sync ScoreBatch calls;
+// the batch=64 row is the ScoreBatch amortization acceptance number.
 //
 // Batch_wide rows (B=256/512) compare the forced one-tile column plan
 // (ColTile = B) against the auto column-tiled plan on the Parallel engine
@@ -31,13 +31,6 @@
 // with concurrency, the scheduler coalesces the concurrent callers into
 // multi-column diffusions, and each row records throughput against the
 // per-query (B=1) path plus the realized batch width and cache hit rate.
-//
-// Shard rows measure the sharded multi-tenant environment: T tenant graphs
-// diffusing concurrently over partitioned Transition shards on one shared
-// worker pool, against the single-CSR status quo — both as raw engine
-// overlap (sequential vs concurrent ScoreBatch) and as served throughput
-// (per-tenant coalescing schedulers vs per-query calls), with the realized
-// cross-shard residual traffic fraction.
 //
 // Priority rows measure the deadline-aware scheduler under a mixed 90/10
 // interactive/bulk load against the FIFO coalescer on the identical
@@ -78,8 +71,7 @@
 //
 // With -baseline, the freshly measured snapshot is gated against a
 // committed one and the command exits non-zero when a Parallel-engine,
-// ScoreBatch, serve, shard, priority, walkindex, topk, or fanout row
-// regressed
+// ScoreBatch, serve, priority, walkindex, topk, or fanout row regressed
 // more than -max-regress (CI's bench-regression step).
 //
 // Usage:
@@ -121,7 +113,7 @@ type engineResult struct {
 
 // batchResult records one BenchmarkScoreBatch width: the Parallel engine
 // scoring B queries through one multi-column diffusion, against the
-// sequential baseline of B independent FastNodeScores calls.
+// sequential baseline of B independent single-query sync ScoreBatch calls.
 type batchResult struct {
 	Batch               int     `json:"batch"`
 	NsPerOp             int64   `json:"ns_per_op"`
@@ -168,27 +160,6 @@ type priorityResult struct {
 	PriorityBulkP99N int64   `json:"priority_bulk_p99_ns"`
 	MeanBatchFifo    float64 `json:"mean_batch_fifo"`
 	MeanBatchPri     float64 `json:"mean_batch_priority"`
-}
-
-// shardResult records one multi-tenant sharding configuration: T tenant
-// graphs diffusing concurrently over partitioned shards on one worker
-// pool, against the single-CSR status quo on the identical workload. The
-// engine speedup (concurrent sharded ScoreBatch vs sequential single-CSR
-// ScoreBatch) measures core-level overlap and is ≈1.0 on a single-core
-// recorder; the serve speedup (per-tenant coalescing schedulers vs
-// per-query single-CSR calls) is the acceptance number — it comes from
-// batching amortization and holds on one core.
-type shardResult struct {
-	Shards            int     `json:"shards"`
-	Tenants           int     `json:"tenants"`
-	Partitioner       string  `json:"partitioner"`
-	SeqNsPerQuery     int64   `json:"seq_ns_per_query"`
-	ConcNsPerQuery    int64   `json:"conc_ns_per_query"`
-	EngineSpeedup     float64 `json:"engine_speedup"`
-	CrossFrac         float64 `json:"cross_frac"`
-	PerQueryQPS       float64 `json:"per_query_qps"`
-	MultiQPS          float64 `json:"multi_qps"`
-	SpeedupVsPerQuery float64 `json:"speedup_vs_per_query"`
 }
 
 // walkIndexResult records one walk-index store budget: what the
@@ -329,9 +300,6 @@ type snapshot struct {
 	// numbers.
 	GS    []gsResult    `json:"gs"`
 	Serve []serveResult `json:"serve"`
-	// Shard records the multi-tenant sharded-environment rows; the
-	// tenants≥4 rows carry the ≥1.5×-vs-single-CSR acceptance number.
-	Shard []shardResult `json:"shard"`
 	// Priority records the deadline-aware scheduling rows; every row
 	// carries the ≥1.5× interactive-p99-vs-FIFO acceptance number.
 	Priority []priorityResult `json:"priority"`
@@ -487,19 +455,20 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 
 	// BenchmarkScoreBatch: the Parallel engine scoring B queries through
 	// one multi-column diffusion, vs the sequential baseline of B
-	// independent FastNodeScores calls (the legacy per-query path).
+	// independent single-query sync ScoreBatch calls (the per-query path).
 	queries := make([][]float64, 512)
 	for j := range queries {
 		queries[j] = env.Bench.Vocabulary().Vector(env.Bench.SamplePair(r).Query)
 	}
-	query := queries[0]
-	if _, err := net.FastNodeScores(query, alpha, 0); err != nil {
+	query := queries[:1]
+	seqReq := core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha}
+	if _, _, err := net.ScoreBatch(query, seqReq); err != nil {
 		return err
 	}
 	seqRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := net.FastNodeScores(query, alpha, 0); err != nil {
+			if _, _, err := net.ScoreBatch(query, seqReq); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -714,36 +683,6 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 			sr.Clients, sr.QPS, sr.PerQueryQPS, sr.SpeedupVsPerQuery,
 			sr.P99Ns/1e6, sr.MeanBatch, sr.CacheHitRate)
 		snap.Serve = append(snap.Serve, sr)
-	}
-
-	// Shard rows: T tenant graphs diffusing concurrently over 4-way
-	// partitioned shards on one shared pool, vs the single-CSR status quo.
-	// The tenants≥4 serve speedups are the ISSUE-4 acceptance numbers.
-	shardRows, err := expt.ShardSweep(env, expt.ShardConfig{
-		M: numDocs, Alpha: alpha, Tol: tol, Workers: workers, Seed: seed,
-		Shards: []int{4}, Tenants: []int{1, 4, 8},
-		Batch: 32, Clients: 8, QueriesPerClient: 12,
-	})
-	if err != nil {
-		return fmt.Errorf("shard sweep: %w", err)
-	}
-	for _, row := range shardRows {
-		sr := shardResult{
-			Shards:            row.Shards,
-			Tenants:           row.Tenants,
-			Partitioner:       row.Partitioner,
-			SeqNsPerQuery:     row.SeqNsPerQuery,
-			ConcNsPerQuery:    row.ConcNsPerQuery,
-			EngineSpeedup:     row.EngineSpeedup,
-			CrossFrac:         row.CrossFrac,
-			PerQueryQPS:       row.PerQueryQPS,
-			MultiQPS:          row.MultiQPS,
-			SpeedupVsPerQuery: row.ServeSpeedup,
-		}
-		fmt.Printf("shard-%dx%-5d %10.0f qps (per-query %.0f, speedup %.2fx) engine %.2fx cross=%.1f%%\n",
-			sr.Shards, sr.Tenants, sr.MultiQPS, sr.PerQueryQPS, sr.SpeedupVsPerQuery,
-			sr.EngineSpeedup, 100*sr.CrossFrac)
-		snap.Shard = append(snap.Shard, sr)
 	}
 
 	// Priority rows: the identical mixed 90/10 interactive/bulk load
@@ -1052,30 +991,6 @@ func checkRegression(baselinePath string, fresh snapshot, maxRegress float64) er
 				sr.Clients, sr.SpeedupVsPerQuery, b.SpeedupVsPerQuery))
 		}
 	}
-	// Shard rows gate like serve rows: on the within-run speedup of the
-	// multi-tenant path over the per-query single-CSR path (both sides
-	// measured back-to-back on the same machine, so the ratio transfers
-	// across hardware), not on absolute QPS or the engine overlap ratio
-	// (which legitimately tracks the runner's core count). Rows absent from
-	// the baseline (first snapshot after sharding landed) are skipped.
-	type shardKey struct {
-		shards, tenants int
-		partitioner     string
-	}
-	baseShard := make(map[shardKey]shardResult, len(base.Shard))
-	for _, sr := range base.Shard {
-		baseShard[shardKey{sr.Shards, sr.Tenants, sr.Partitioner}] = sr
-	}
-	for _, sr := range fresh.Shard {
-		b, ok := baseShard[shardKey{sr.Shards, sr.Tenants, sr.Partitioner}]
-		if !ok {
-			continue
-		}
-		if b.SpeedupVsPerQuery > 0 && sr.SpeedupVsPerQuery < b.SpeedupVsPerQuery*(1-maxRegress) {
-			problems = append(problems, fmt.Sprintf("shard %dx%d: speedup vs per-query %.2fx vs baseline %.2fx",
-				sr.Shards, sr.Tenants, sr.SpeedupVsPerQuery, b.SpeedupVsPerQuery))
-		}
-	}
 	// Priority rows carry an absolute acceptance bar on top of the
 	// usual regression comparison: the priority scheduler must beat the
 	// FIFO coalescer's interactive p99 by ≥1.5× under the mixed load
@@ -1213,7 +1128,7 @@ func checkRegression(baselinePath string, fresh snapshot, maxRegress float64) er
 		}
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("gated benchmark rows (parallel engine / scorebatch / batch_wide / gs / serve / shard / priority / walkindex / topk / fanout / telemetry) regressed beyond %.0f%% of %s:\n  %s",
+		return fmt.Errorf("gated benchmark rows (parallel engine / scorebatch / batch_wide / gs / serve / priority / walkindex / topk / fanout / telemetry) regressed beyond %.0f%% of %s:\n  %s",
 			maxRegress*100, baselinePath, strings.Join(problems, "\n  "))
 	}
 	mode := "ratio checks only — baseline hardware differs"

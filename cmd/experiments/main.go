@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|shard|priority|walkindex|topk|fanout|all")
+		exp   = flag.String("exp", "all", "experiment: fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|priority|walkindex|topk|fanout|all")
 		seed  = flag.Uint64("seed", 42, "master seed (all results are deterministic in it)")
 		quick = flag.Bool("quick", false, "scaled-down environment and iteration counts")
 		iters = flag.Int("iters", 0, "override iteration count (0 = experiment default)")
@@ -78,13 +78,12 @@ func run(exp string, seed uint64, quick bool, iters int, csv bool) error {
 		"diffusion": r.diffusion,
 		"batch":     r.batch,
 		"serve":     r.serve,
-		"shard":     r.shard,
 		"priority":  r.priority,
 		"walkindex": r.walkindex,
 		"fanout":    r.fanout,
 	}
 	if exp == "all" {
-		for _, name := range []string{"fig3", "table1", "parallel", "recall", "placement", "summary", "visited", "baselines", "norm", "diffusion", "batch", "serve", "shard", "priority", "walkindex", "topk", "fanout"} {
+		for _, name := range []string{"fig3", "table1", "parallel", "recall", "placement", "summary", "visited", "baselines", "norm", "diffusion", "batch", "serve", "priority", "walkindex", "topk", "fanout"} {
 			if err := known[name](); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -314,25 +313,6 @@ func (r *runner) serve() error {
 	}
 	r.emit(fmt.Sprintf("serve — coalescing scheduler vs per-query scoring under closed-loop load (M=1000, α=0.5, %v)",
 		time.Since(start).Round(time.Millisecond)), expt.FormatServe(rows))
-	return nil
-}
-
-func (r *runner) shard() error {
-	start := time.Now()
-	cfg := expt.ShardConfig{
-		M: 500, Alpha: 0.5, Seed: r.seed,
-		QueriesPerClient: r.itersOr(10, 4),
-	}
-	if r.quick {
-		cfg.Batch = 16
-		cfg.Clients = 4
-	}
-	rows, err := expt.ShardSweep(r.env, cfg)
-	if err != nil {
-		return err
-	}
-	r.emit(fmt.Sprintf("shard — sharded multi-tenant environments vs single CSR (M=500, α=0.5, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatShard(rows))
 	return nil
 }
 

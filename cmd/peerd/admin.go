@@ -1,5 +1,5 @@
 // Admin surface for a long-running peer: a telemetry registry fed by the
-// diffusion observer and per-tenant query-trace sinks, one status
+// diffusion observer and the scheduler's query-trace sink, one status
 // snapshot struct behind every reporting surface (/statusz JSON, the
 // -statsevery log line, and the shutdown banner render the same fields,
 // so text and JSON cannot drift), and the -admin HTTP endpoint serving
@@ -13,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -25,11 +24,11 @@ import (
 
 // adminTelemetry owns the peer's metrics registry and the hooks that feed
 // it: one diffusion observer shared by every dispatched batch (the
-// sweep-level convergence profile) and one trace sink per tenant
-// scheduler (query resolution paths and stage latencies). It exists only
-// when -admin or -statsevery asked for it; every method tolerates a nil
-// receiver and returns nil hooks, so the uninstrumented peer carries no
-// registry at all — not even dormant counters.
+// sweep-level convergence profile) and the scheduler's trace sink (query
+// resolution paths and stage latencies). It exists only when -admin or
+// -statsevery asked for it; every method tolerates a nil receiver and
+// returns nil hooks, so the uninstrumented peer carries no registry at
+// all — not even dormant counters.
 type adminTelemetry struct {
 	reg  *telemetry.Registry
 	diff *telemetry.DiffusionMetrics
@@ -49,17 +48,18 @@ func (a *adminTelemetry) observer() diffuse.Observer {
 	return a.diff
 }
 
-// traceWindow bounds the per-tenant latency sample rings the summary
-// quantiles are computed over, mirroring the serve package's own
-// sliding-window philosophy: recent behaviour, not lifetime averages.
+// traceWindow bounds the latency sample rings the summary quantiles are
+// computed over, mirroring the serve package's own sliding-window
+// philosophy: recent behaviour, not lifetime averages.
 const traceWindow = 1024
 
-// sink builds the serve.Config.OnTrace hook for one tenant's scheduler:
-// per-path resolution counters, wait/score latency quantile windows, and
-// — when the tenant scores through the walk index — warm/cold finish
-// attribution (a scored batch reporting zero sweeps was answered entirely
-// from precomputed segments; any residual finish diffuses at least one).
-func (a *adminTelemetry) sink(tenant string, walkindexBacked bool) func(serve.Trace) {
+// sink builds the scheduler's serve.Config.OnTrace hook: per-path
+// resolution counters, wait/score latency quantile windows, and — when the
+// mirror scores through the walk index — warm/cold finish attribution (a
+// scored batch reporting zero sweeps was answered entirely from
+// precomputed segments; any residual finish diffuses at least one). Every
+// series carries the constant tenant="local" label.
+func (a *adminTelemetry) sink(walkindexBacked bool) func(serve.Trace) {
 	if a == nil {
 		return nil
 	}
@@ -67,23 +67,23 @@ func (a *adminTelemetry) sink(tenant string, walkindexBacked bool) func(serve.Tr
 	for _, p := range serve.Paths {
 		paths[p] = a.reg.Counter("diffusearch_serve_queries_total",
 			"Resolved query submissions by resolution path.",
-			"tenant", tenant, "path", string(p))
+			"tenant", localTenant, "path", string(p))
 	}
 	wait := a.reg.Window("diffusearch_serve_wait_seconds",
 		"Coalescing wait (arrival to dispatch) of resolved queries.",
-		traceWindow, "tenant", tenant)
+		traceWindow, "tenant", localTenant)
 	score := a.reg.Window("diffusearch_serve_score_seconds",
 		"Backend scoring time of the batch each query rode.",
-		traceWindow, "tenant", tenant)
+		traceWindow, "tenant", localTenant)
 	var warm, cold *telemetry.Counter
 	if walkindexBacked {
 		const help = "Scored batches by walk-index finish kind: warm " +
 			"batches were answered entirely from precomputed segments " +
 			"(zero diffusion sweeps), cold ones needed a residual finish."
 		warm = a.reg.Counter("diffusearch_walkindex_finishes_total", help,
-			"tenant", tenant, "kind", "warm")
+			"tenant", localTenant, "kind", "warm")
 		cold = a.reg.Counter("diffusearch_walkindex_finishes_total", help,
-			"tenant", tenant, "kind", "cold")
+			"tenant", localTenant, "kind", "cold")
 	}
 	return func(t serve.Trace) {
 		if c := paths[t.Path]; c != nil {
@@ -136,18 +136,13 @@ func (a *adminTelemetry) registerPeer(peer *peernet.Peer) {
 	})
 }
 
-// registerScorer exposes the serving-side gauges: per-tenant scheduler
-// state, the shared worker pool, and the memory-bounded stores (walk
-// index and reverse top-k tables). All of them are owned by the scorer
-// and sampled at scrape time, so the hot path pays nothing for them.
+// registerScorer exposes the serving-side gauges: scheduler state and the
+// memory-bounded stores (walk index and reverse top-k tables). All of them
+// are owned by the scorer and sampled at scrape time, so the hot path pays
+// nothing for them.
 func (a *adminTelemetry) registerScorer(s *queryScorer) {
 	if a == nil || s == nil {
 		return
-	}
-	if s.pool != nil {
-		a.reg.GaugeFunc("diffusearch_pool_workers",
-			"Shared diffusion worker pool size.",
-			func() float64 { return float64(s.pool.Workers()) })
 	}
 	if s.wix != nil {
 		a.reg.GaugeFunc("diffusearch_walkindex_store_bytes",
@@ -189,23 +184,19 @@ func (a *adminTelemetry) registerScorer(s *queryScorer) {
 			func() float64 { return float64(s.tk.Poisoned()) })
 	}
 	a.reg.Producer(func(e *telemetry.Emitter) {
-		for name, st := range s.Stats() {
-			e.Gauge("diffusearch_serve_queue_depth",
-				"Submission-queue occupancy at scrape time.",
-				float64(st.QueueDepth), "tenant", name)
-			e.Gauge("diffusearch_serve_cache_bytes",
-				"Live LRU score-cache payload size.",
-				float64(st.CacheBytes), "tenant", name)
-			e.Counter("diffusearch_serve_batches_total",
-				"Diffusions dispatched by the scheduler.",
-				float64(st.Batches), "tenant", name)
-			e.Counter("diffusearch_serve_messages_total",
-				"Embedding messages spent by dispatched batches.",
-				float64(st.MessagesTotal), "tenant", name)
-			e.Counter("diffusearch_serve_cross_messages_total",
-				"Cross-shard subset of the dispatched batches' messages.",
-				float64(st.CrossMessagesTotal), "tenant", name)
-		}
+		st := s.sched.Stats()
+		e.Gauge("diffusearch_serve_queue_depth",
+			"Submission-queue occupancy at scrape time.",
+			float64(st.QueueDepth), "tenant", localTenant)
+		e.Gauge("diffusearch_serve_cache_bytes",
+			"Live LRU score-cache payload size.",
+			float64(st.CacheBytes), "tenant", localTenant)
+		e.Counter("diffusearch_serve_batches_total",
+			"Diffusions dispatched by the scheduler.",
+			float64(st.Batches), "tenant", localTenant)
+		e.Counter("diffusearch_serve_messages_total",
+			"Embedding messages spent by dispatched batches.",
+			float64(st.MessagesTotal), "tenant", localTenant)
 	})
 }
 
@@ -213,15 +204,14 @@ func (a *adminTelemetry) registerScorer(s *queryScorer) {
 // surface. /statusz marshals it; text renders the shutdown banner and
 // the -statsevery log line from the same fields.
 type statusSnapshot struct {
-	Peer        int                    `json:"peer"`
-	UptimeSecs  float64                `json:"uptime_secs"`
-	Updates     int64                  `json:"diffusion_updates"`
-	Messages    int64                  `json:"messages_sent"`
-	PoolWorkers int                    `json:"pool_workers,omitempty"`
-	Schedulers  map[string]serve.Stats `json:"schedulers,omitempty"`
-	Filter      *peernet.FilterStats   `json:"filter,omitempty"`
-	WalkIndex   *walkIndexStatus       `json:"walkindex,omitempty"`
-	TopK        *topKStatus            `json:"topk,omitempty"`
+	Peer       int                    `json:"peer"`
+	UptimeSecs float64                `json:"uptime_secs"`
+	Updates    int64                  `json:"diffusion_updates"`
+	Messages   int64                  `json:"messages_sent"`
+	Schedulers map[string]serve.Stats `json:"schedulers,omitempty"`
+	Filter     *peernet.FilterStats   `json:"filter,omitempty"`
+	WalkIndex  *walkIndexStatus       `json:"walkindex,omitempty"`
+	TopK       *topKStatus            `json:"topk,omitempty"`
 }
 
 type walkIndexStatus struct {
@@ -264,10 +254,7 @@ func (src statusSource) snapshot() statusSnapshot {
 	if s == nil {
 		return sn
 	}
-	sn.Schedulers = s.Stats()
-	if s.pool != nil {
-		sn.PoolWorkers = s.pool.Workers()
-	}
+	sn.Schedulers = map[string]serve.Stats{localTenant: s.sched.Stats()}
 	if s.wix != nil {
 		sn.WalkIndex = &walkIndexStatus{
 			Segments: s.wix.Segments(), Seeds: s.wix.SeedCount(),
@@ -285,19 +272,14 @@ func (src statusSource) snapshot() statusSnapshot {
 }
 
 // text renders the snapshot for logs: one header line plus one line per
-// scheduler and store, tenants in sorted order for stable output.
+// scheduler and store.
 func (sn statusSnapshot) text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "peer %d up %s: %d diffusion updates, %d messages sent\n",
 		sn.Peer, (time.Duration(sn.UptimeSecs * float64(time.Second))).Round(time.Second),
 		sn.Updates, sn.Messages)
-	names := make([]string, 0, len(sn.Schedulers))
-	for name := range sn.Schedulers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "scheduler[%s]: %v\n", name, sn.Schedulers[name])
+	for name, st := range sn.Schedulers { // one entry: localTenant
+		fmt.Fprintf(&b, "scheduler[%s]: %v\n", name, st)
 	}
 	if f := sn.Filter; f != nil {
 		fmt.Fprintf(&b, "filter: %d bits × %d hashes, %.0f%% full, %d neighbours cached (%d stale), routed %d hits / %d fallbacks / %d early stops\n",
@@ -321,9 +303,6 @@ func (sn statusSnapshot) text() string {
 			fmt.Fprintf(&b, ", %d poisoned", t.Poisoned)
 		}
 		b.WriteByte('\n')
-	}
-	if sn.PoolWorkers > 0 {
-		fmt.Fprintf(&b, "pool: %d workers\n", sn.PoolWorkers)
 	}
 	return b.String()
 }

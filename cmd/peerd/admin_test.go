@@ -20,7 +20,7 @@ func adminFixture(t *testing.T) (*adminTelemetry, statusSource) {
 	tel := newAdminTelemetry()
 	scorer, err := newQueryScorer(testSpecs(), vocab, scorerConfig{
 		engine: "sync", alpha: 0.5, seed: 42, maxBatch: 8, cache: 32, tel: tel,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +86,11 @@ func TestAdminEndpoint(t *testing.T) {
 		`diffusearch_serve_queries_total{path="scored",tenant="local"} 1`,
 		`diffusearch_serve_queries_total{path="cache_hit",tenant="local"} 1`,
 		`diffusearch_serve_score_seconds{tenant="local",quantile="0.99"}`,
+		// The series the benchmark's overlay workloads read for their
+		// serve.* and diffuse.* per-layer metrics.
+		`diffusearch_serve_wait_seconds_sum{tenant="local"}`,
+		`diffusearch_serve_score_seconds_sum{tenant="local"}`,
+		`diffusearch_serve_score_seconds{tenant="local",quantile="0.5"}`,
 		"diffusearch_peer_messages_sent_total 0",
 		"diffusearch_serve_batches_total{tenant=\"local\"} 1",
 	} {

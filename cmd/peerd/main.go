@@ -48,14 +48,6 @@
 // and -deadline attaches a dispatch deadline to every submission — a query
 // the scheduler cannot dispatch in time is shed, never scored.
 //
-// With -shards N the mirror's diffusions run over N partitioned Transition
-// shards diffusing concurrently (-part selects range or degree-balanced
-// greedy partitioning; scores match the single CSR within 1e-9). With
-// -tenants name=topo.txt,... the same process additionally serves other
-// tenant graphs, each behind its own coalescing scheduler, all shards
-// diffusing on one shared worker pool — per-tenant scheduler stats are
-// printed at shutdown.
-//
 // With -scorer walkindex the local mirror scores through a precomputed
 // walk index instead: the leading terms of each document host's PPR
 // column are built in the background (Bulk-class tasks riding the same
@@ -107,7 +99,6 @@ import (
 	"diffusearch/internal/peernet"
 	"diffusearch/internal/retrieval"
 	"diffusearch/internal/serve"
-	"diffusearch/internal/shard"
 	"diffusearch/internal/topk"
 	"diffusearch/internal/walkindex"
 )
@@ -124,11 +115,8 @@ func main() {
 		batch    = flag.String("batch", "", "issue a batch of comma-separated words (e.g. w12,w7) and exit; with -engine, the batch is scored in one diffusion first")
 		engine   = flag.String("engine", "", "serve queries through the request API on this engine (async|parallel|sync|gs); empty keeps gossip-cache scoring")
 		workers  = flag.Int("workers", 0, "parallel engine pool size (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "partition the scorer mirror into this many Transition shards diffusing concurrently (0 = single CSR; needs -engine)")
-		part     = flag.String("part", "range", "shard partitioner: range (contiguous ids) or greedy (degree-balanced)")
-		scorer   = flag.String("scorer", "", "scoring backend for the local mirror: csr, sharded, or walkindex (precomputed per-document PPR segments; needs -engine)")
+		scorer   = flag.String("scorer", "", "scoring backend for the local mirror: csr or walkindex (precomputed per-document PPR segments; needs -engine)")
 		indexBgt = flag.Int64("index-budget", 0, "walk-index store budget in bytes (0 = 64MiB default, negative = unbounded; needs -scorer walkindex)")
-		tenants  = flag.String("tenants", "", "extra tenant graphs served by this process: comma-separated name=topology.txt pairs, each scored through its own scheduler over the shared worker pool (needs -engine)")
 		maxWait  = flag.Duration("maxwait", 2*time.Millisecond, "scheduler coalescing budget: how long a query may wait for batch co-riders (0 = zero-wait)")
 		maxBatch = flag.Int("maxbatch", 64, "scheduler batch-width cap for coalesced diffusions")
 		cache    = flag.Int("cache", 512, "scheduler LRU score-cache entries (0 disables)")
@@ -150,7 +138,6 @@ func main() {
 		words: *words, dim: *dim, query: *query, batch: *batch,
 		engine: *engine, workers: *workers, ttl: *ttl, k: *k, wait: *wait,
 		maxWait: *maxWait, maxBatch: *maxBatch, cache: *cache,
-		shards: *shards, part: *part, tenants: *tenants,
 		scorer: *scorer, indexBudget: *indexBgt,
 		class: *class, deadline: *deadline, topk: *topkN,
 		admin: *admin, statsEvery: *statsEv,
@@ -179,9 +166,6 @@ type runConfig struct {
 	maxWait     time.Duration
 	maxBatch    int
 	cache       int
-	shards      int
-	part        string
-	tenants     string
 	scorer      string
 	indexBudget int64
 	class       string
@@ -211,12 +195,6 @@ type peerSpec struct {
 // Prewarm fills the scheduler's LRU cache for a whole batch with one
 // diffusion.
 //
-// With -shards the mirror's diffusions run over partitioned Transition
-// shards, and with -tenants the same process hosts additional tenant
-// graphs: every tenant gets its own coalescing scheduler (registered in
-// one serve.Multi) while all tenants' shards diffuse on one shared
-// diffuse.Pool — the sharded multi-graph serving arrangement.
-//
 // The local mirror Network is swappable: Patch rebuilds it from reloaded
 // topology specs (peers joining or leaving) and invalidates the score
 // cache — targeted when the patch is small (only cached columns whose
@@ -225,15 +203,13 @@ type peerSpec struct {
 type queryScorer struct {
 	req   core.DiffusionRequest
 	vocab *embed.Vocabulary
-	multi *serve.Multi
-	local *serve.Scheduler // the localTenant scheduler (hot path)
-	pool  *diffuse.Pool    // shared across tenants; nil when unsharded
+	sched *serve.Scheduler
 	cfg   scorerConfig
 
 	// wix and refresher exist only with -scorer walkindex: the local
 	// mirror's diffusions are then answered from precomputed per-document
 	// PPR segments (plus an exact residual finish), and the refresher
-	// rebuilds missing segments as Bulk tasks on the local scheduler.
+	// rebuilds missing segments as Bulk tasks on the scheduler.
 	wix       *walkindex.Backend
 	refresher *walkindex.Refresher
 
@@ -247,20 +223,20 @@ type queryScorer struct {
 	specs map[int]peerSpec // specs the mirror was built from (patch diffs)
 }
 
-// localTenant names this peer's own overlay in the tenant registry.
+// localTenant labels this peer's scheduler in metrics (tenant="local")
+// and in the /statusz schedulers map. It is a constant: one process
+// serves one graph.
 const localTenant = "local"
 
 // scorerConfig carries the scheduler and request knobs into newQueryScorer.
 type scorerConfig struct {
-	engine      string
-	alpha       float64
-	workers     int
-	seed        uint64
-	maxWait     time.Duration
-	maxBatch    int
-	cache       int
-	shards      int
-	partitioner graph.Partitioner
+	engine   string
+	alpha    float64
+	workers  int
+	seed     uint64
+	maxWait  time.Duration
+	maxBatch int
+	cache    int
 	// scorer picks the local mirror's backend; indexBudget bounds the
 	// walk-index segment store (see walkindex.Config.Budget).
 	scorer      core.ScorerKind
@@ -274,18 +250,16 @@ type scorerConfig struct {
 	// prints certified top-k host rankings for issued queries.
 	topk int
 	// tel, when non-nil, instruments the scorer: its diffusion observer
-	// rides every dispatched batch and each tenant's scheduler gets a
-	// trace sink. Nil (the default, and every test's) keeps the hot path
-	// identical to an unobserved build.
+	// rides every dispatched batch and the scheduler gets a trace sink.
+	// Nil (the default, and every test's) keeps the hot path identical to
+	// an unobserved build.
 	tel *adminTelemetry
 }
 
 // newQueryScorer mirrors the topology and document placement into a
 // Network, resolves the engine flag into the DiffusionRequest every
-// dispatched batch uses, and starts one coalescing scheduler per tenant
-// (the local overlay plus any -tenants extras) over a shared worker pool.
-func newQueryScorer(specs map[int]peerSpec, vocab *embed.Vocabulary, cfg scorerConfig,
-	tenantSpecs map[string]map[int]peerSpec) (*queryScorer, error) {
+// dispatched batch uses, and starts the coalescing scheduler over it.
+func newQueryScorer(specs map[int]peerSpec, vocab *embed.Vocabulary, cfg scorerConfig) (*queryScorer, error) {
 	eng, err := diffuse.ParseEngine(cfg.engine)
 	if err != nil {
 		return nil, err
@@ -296,82 +270,52 @@ func newQueryScorer(specs map[int]peerSpec, vocab *embed.Vocabulary, cfg scorerC
 			Seed: cfg.seed, Observer: cfg.tel.observer(),
 		},
 		vocab: vocab,
-		multi: serve.NewMulti(),
 		cfg:   cfg,
 		specs: specs,
 	}
-	// The shared pool exists whenever anything can diffuse concurrently:
-	// sharded mirrors, or several tenants behind one process. -tenants
-	// without -shards still bounds the workers by attaching single-shard
-	// backends over the pool (bit-identical scores, shared goroutine set).
-	if cfg.shards > 0 || len(tenantSpecs) > 0 {
-		s.pool = diffuse.NewPool(cfg.workers)
-	}
-	// The pool workers and any already-registered schedulers are live
-	// goroutines; release them when a later tenant fails to build.
-	fail := func(err error) (*queryScorer, error) {
-		s.Close()
+	if s.net, err = s.buildLocalMirror(specs); err != nil {
 		return nil, err
 	}
-	if s.net, err = s.buildLocalMirror(specs); err != nil {
-		return fail(err)
-	}
-	schedCfg := serve.Config{
+	// buildLocalMirror already ran, so the sink knows whether the mirror
+	// scores through the walk index (warm/cold finish attribution).
+	if s.sched, err = serve.New(s, serve.Config{
 		Request: s.req, MaxWait: cfg.maxWait, MaxBatch: cfg.maxBatch, Cache: cfg.cache,
-	}
-	// buildLocalMirror already ran, so the local sink knows whether the
-	// tenant scores through the walk index (warm/cold finish attribution).
-	schedCfg.OnTrace = cfg.tel.sink(localTenant, s.wix != nil)
-	if s.local, err = s.multi.Register(localTenant, s, schedCfg); err != nil {
-		return fail(err)
-	}
-	for name, tspecs := range tenantSpecs {
-		tnet, err := s.buildTenantMirror(tspecs)
-		if err != nil {
-			return fail(fmt.Errorf("tenant %s: %w", name, err))
-		}
-		tenantCfg := schedCfg
-		tenantCfg.OnTrace = cfg.tel.sink(name, false)
-		if _, err := s.multi.Register(name, tnet, tenantCfg); err != nil {
-			return fail(err)
-		}
+		OnTrace: cfg.tel.sink(s.wix != nil),
+	}); err != nil {
+		return nil, err
 	}
 	// The walk index starts empty; the refresher fills it (and re-fills it
-	// after SIGHUP patches) as Bulk tasks riding the local scheduler, so
+	// after SIGHUP patches) as Bulk tasks riding the scheduler, so
 	// index builds coalesce with live traffic instead of competing with it.
 	// Queries served before coverage completes are still exact — the
 	// backend finishes whatever the store cannot answer with a residual
 	// diffusion.
 	if s.wix != nil {
-		s.refresher = walkindex.NewRefresher(s.wix, s.local, walkindex.RefreshConfig{})
+		s.refresher = walkindex.NewRefresher(s.wix, s.sched, walkindex.RefreshConfig{})
 		s.refresher.Start()
 	}
 	return s, nil
 }
 
-// buildLocalMirror builds the local tenant's mirror. Unlike plain tenant
-// mirrors it honours -scorer (walkindex attaches the segment-store
-// backend — whole-graph, so it excludes -shards — instead of the sharded
-// one) and -topk (the bidirectional ranker rides any scorer: rankings
-// always diffuse the full CSR forward, whatever backend answers
-// full-vector queries).
+// buildLocalMirror builds the mirror and attaches the backends the flags
+// ask for: -scorer walkindex installs the segment-store backend, and -topk
+// the bidirectional ranker (which rides any scorer: rankings always
+// diffuse the full CSR forward, whatever backend answers full-vector
+// queries).
 func (s *queryScorer) buildLocalMirror(specs map[int]peerSpec) (*core.Network, error) {
-	var net *core.Network
-	var err error
-	if s.cfg.scorer != core.ScorerWalkIndex {
-		net, err = s.buildTenantMirror(specs)
-	} else if net, err = buildMirror(specs, s.vocab); err == nil {
-		var in *walkindex.IndexedNetwork
-		in, err = walkindex.Attach(net, walkindex.Config{
+	net, err := buildMirror(specs, s.vocab)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.scorer == core.ScorerWalkIndex {
+		in, err := walkindex.Attach(net, walkindex.Config{
 			Alpha: s.cfg.alpha, Budget: s.cfg.indexBudget,
 			Engine: s.req.Engine, Workers: s.cfg.workers, Seed: s.cfg.seed,
 		})
-		if err == nil {
-			s.wix = in.Backend()
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err != nil {
-		return nil, err
+		s.wix = in.Backend()
 	}
 	if s.cfg.topk > 0 {
 		if s.tk, err = topk.Attach(net, topk.Config{
@@ -380,26 +324,6 @@ func (s *queryScorer) buildLocalMirror(specs map[int]peerSpec) (*core.Network, e
 		}); err != nil {
 			return nil, err
 		}
-	}
-	return net, nil
-}
-
-// buildTenantMirror builds one tenant's mirror Network and, whenever a
-// shared pool exists, attaches the sharded scoring backend over it (shard
-// count 1 when only multi-tenancy, not partitioning, was requested).
-func (s *queryScorer) buildTenantMirror(specs map[int]peerSpec) (*core.Network, error) {
-	net, err := buildMirror(specs, s.vocab)
-	if err != nil {
-		return nil, err
-	}
-	if s.pool != nil {
-		shards := s.cfg.shards
-		if shards <= 0 {
-			shards = 1
-		}
-		shard.Attach(net, shard.Config{
-			Shards: shards, Partitioner: s.cfg.partitioner, Pool: s.pool,
-		})
 	}
 	return net, nil
 }
@@ -464,7 +388,7 @@ func (s *queryScorer) ScoreBatchTopK(queries [][]float64, req core.DiffusionRequ
 const scoreTimeout = 30 * time.Second
 
 // Score returns the per-node relevance scores for one query embedding
-// through the local tenant's coalescing scheduler (cache hit, coalesced
+// through the coalescing scheduler (cache hit, coalesced
 // batch column, or fresh diffusion), tagged with this peer's configured
 // scheduling class and deadline.
 func (s *queryScorer) Score(query []float64) ([]float64, error) {
@@ -476,7 +400,7 @@ func (s *queryScorer) Score(query []float64) ([]float64, error) {
 		// which sheds on arrival) becomes an absolute dispatch deadline.
 		opts.Deadline = time.Now().Add(s.cfg.deadline)
 	}
-	return s.local.SubmitWith(ctx, query, opts)
+	return s.sched.SubmitWith(ctx, query, opts)
 }
 
 // RankQuery returns the certified top-k document-host ranking for one
@@ -489,14 +413,14 @@ func (s *queryScorer) RankQuery(query []float64, k int) (core.RankedResult, erro
 	if s.cfg.deadline != 0 {
 		opts.Deadline = time.Now().Add(s.cfg.deadline)
 	}
-	return s.local.SubmitRanked(ctx, query, k, opts)
+	return s.sched.SubmitRanked(ctx, query, k, opts)
 }
 
 // Prewarm scores a whole query batch in one multi-column diffusion and
 // fills the scheduler's cache, so the subsequent live walks pay no further
 // diffusion cost.
 func (s *queryScorer) Prewarm(queries [][]float64) (diffuse.Stats, error) {
-	return s.local.Warm(queries)
+	return s.sched.Warm(queries)
 }
 
 // smallPatchFrac bounds the targeted-invalidation path: a patch whose
@@ -527,20 +451,17 @@ func (s *queryScorer) Patch(specs map[int]peerSpec) (string, error) {
 	s.mu.RUnlock()
 	changed, docsChanged := changedClosure(old, specs)
 
-	var net *core.Network
-	var err error
+	net, err := buildMirror(specs, s.vocab)
+	if err != nil {
+		return "", err
+	}
 	if s.wix != nil {
-		// Bare mirror: the existing walk-index backend is re-pointed at the
-		// new Transition (dropping patched segments) and re-attached, so
+		// The existing walk-index backend is re-pointed at the new
+		// Transition (dropping patched segments) and re-attached, so
 		// surviving segments keep answering.
-		if net, err = buildMirror(specs, s.vocab); err != nil {
-			return "", err
-		}
 		s.wix.PatchTopology(net.Transition(), changed)
 		s.wix.SetSeeds(walkindex.DocSeeds(net))
 		net.SetScorer(s.wix)
-	} else if net, err = s.buildTenantMirror(specs); err != nil {
-		return "", err
 	}
 	if s.tk != nil {
 		// Same staleness contract as the walk index: reverse tables whose
@@ -561,15 +482,15 @@ func (s *queryScorer) Patch(specs map[int]peerSpec) (string, error) {
 		return "cache untouched (no peer changed)", nil
 	}
 	if docsChanged {
-		s.local.InvalidateCache()
+		s.sched.InvalidateCache()
 		return "whole cache invalidated (document placement changed)", nil
 	}
 	if float64(len(changed)) <= smallPatchFrac*float64(total) {
-		dropped := s.local.InvalidateNodes(changed)
+		dropped := s.sched.InvalidateNodes(changed)
 		return fmt.Sprintf("targeted invalidation: %d nodes in patch neighbourhood, %d cached columns dropped",
 			len(changed), dropped), nil
 	}
-	s.local.InvalidateCache()
+	s.sched.InvalidateCache()
 	return fmt.Sprintf("whole cache invalidated (%d/%d nodes in patch neighbourhood)", len(changed), total), nil
 }
 
@@ -632,23 +553,13 @@ func equalInts(a, b []int) bool {
 	return slices.Equal(as, bs)
 }
 
-// Stats snapshots every tenant's scheduler counters.
-func (s *queryScorer) Stats() map[string]serve.Stats { return s.multi.Stats() }
-
-// Tenants lists the served tenant names.
-func (s *queryScorer) Tenants() []string { return s.multi.Tenants() }
-
-// Close drains and stops every tenant scheduler and the shared pool. The
-// refresher stops first so no new index-build tasks chase the closing
-// schedulers.
+// Close drains and stops the scheduler. The refresher stops first so no
+// new index-build tasks chase the closing scheduler.
 func (s *queryScorer) Close() {
 	if s.refresher != nil {
 		s.refresher.Stop()
 	}
-	s.multi.Close()
-	if s.pool != nil {
-		s.pool.Close()
-	}
+	s.sched.Close()
 }
 
 func run(cfg runConfig) error {
@@ -686,10 +597,6 @@ func run(cfg runConfig) error {
 	// that never opted into the request API.
 	var scorer *queryScorer
 	if cfg.engine != "" {
-		pt, err := graph.ParsePartitioner(cfg.part)
-		if err != nil {
-			return err
-		}
 		cl, err := serve.ParseClass(cfg.class)
 		if err != nil {
 			return err
@@ -698,42 +605,22 @@ func run(cfg runConfig) error {
 		if err != nil {
 			return err
 		}
-		shards := cfg.shards
-		switch sk {
-		case core.ScorerWalkIndex:
-			if shards > 0 {
-				return fmt.Errorf("-scorer walkindex excludes -shards (segments span the whole graph)")
-			}
-		case core.ScorerSharded:
-			if shards <= 0 {
-				shards = 1
-			}
-		default:
-			if shards > 0 {
-				sk = core.ScorerSharded // -shards alone keeps meaning sharded
-			}
-		}
 		if cfg.indexBudget != 0 && sk != core.ScorerWalkIndex {
 			return fmt.Errorf("-index-budget needs -scorer walkindex")
-		}
-		tenantSpecs, err := loadTenants(cfg.tenants)
-		if err != nil {
-			return err
 		}
 		if scorer, err = newQueryScorer(specs, vocab, scorerConfig{
 			engine: cfg.engine, alpha: cfg.alpha, workers: cfg.workers, seed: cfg.seed,
 			maxWait: cfg.maxWait, maxBatch: cfg.maxBatch, cache: cfg.cache,
-			shards: shards, partitioner: pt,
 			scorer: sk, indexBudget: cfg.indexBudget,
 			class: cl, deadline: cfg.deadline, topk: cfg.topk,
 			tel: tel,
-		}, tenantSpecs); err != nil {
+		}); err != nil {
 			return err
 		}
 		defer scorer.Close()
 		tel.registerScorer(scorer)
-	} else if cfg.shards > 0 || cfg.tenants != "" || cfg.scorer != "" || cfg.topk > 0 {
-		return fmt.Errorf("-shards, -tenants, -scorer, and -topk need -engine (request-API scoring)")
+	} else if cfg.scorer != "" || cfg.topk > 0 {
+		return fmt.Errorf("-scorer and -topk need -engine (request-API scoring)")
 	}
 
 	tr, err := peernet.ListenTCP(cfg.id, spec.addr)
@@ -784,18 +671,12 @@ func run(cfg runConfig) error {
 	mode := "gossip-cache scoring"
 	if scorer != nil {
 		mode = fmt.Sprintf("request-API scoring (engine %v)", scorer.req.Engine)
-		if cfg.shards > 0 {
-			mode += fmt.Sprintf(", %d shards/%s", cfg.shards, cfg.part)
-		}
 		if scorer.wix != nil {
 			mode += fmt.Sprintf(", walk index over %d seeds", scorer.wix.SeedCount())
 		}
 		if scorer.tk != nil {
 			mode += fmt.Sprintf(", certified top-%d ranking over %d candidates",
 				cfg.topk, len(scorer.tk.Candidates()))
-		}
-		if names := scorer.Tenants(); len(names) > 1 {
-			mode += fmt.Sprintf(", tenants %s", strings.Join(names, ","))
 		}
 	}
 	fmt.Printf("peer %d listening on %s (%d neighbours, %d local docs, %s)\n",
@@ -880,37 +761,6 @@ func run(cfg runConfig) error {
 	// same struct /statusz serves, so the banner and the JSON can't drift.
 	fmt.Printf("\npeer %d shutting down\n%s", cfg.id, src.snapshot().text())
 	return nil
-}
-
-// loadTenants parses the -tenants flag ("name=topology.txt,...") and loads
-// each tenant's topology file.
-func loadTenants(arg string) (map[string]map[int]peerSpec, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	out := make(map[string]map[int]peerSpec)
-	for _, pair := range strings.Split(arg, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		name, path, ok := strings.Cut(pair, "=")
-		if !ok || name == "" || path == "" {
-			return nil, fmt.Errorf("bad -tenants entry %q (want name=topology.txt)", pair)
-		}
-		if name == localTenant {
-			return nil, fmt.Errorf("-tenants name %q is reserved for this peer's overlay", localTenant)
-		}
-		if _, dup := out[name]; dup {
-			return nil, fmt.Errorf("duplicate -tenants name %q", name)
-		}
-		specs, err := loadTopology(path)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", name, err)
-		}
-		out[name] = specs
-	}
-	return out, nil
 }
 
 // reloadTopology re-reads the topology file and applies the delta to the

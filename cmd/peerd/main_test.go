@@ -113,7 +113,7 @@ func testScorer(t *testing.T, specs map[int]peerSpec, engine string, workers int
 	scorer, err := newQueryScorer(specs, testVocab(t), scorerConfig{
 		engine: engine, alpha: 0.5, workers: workers, seed: 42,
 		maxBatch: 8, cache: 32,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func testScorer(t *testing.T, specs map[int]peerSpec, engine string, workers int
 	return scorer
 }
 
-// localStats snapshots the local tenant's scheduler counters.
-func localStats(s *queryScorer) serve.Stats { return s.Stats()[localTenant] }
+// localStats snapshots the scheduler's counters.
+func localStats(s *queryScorer) serve.Stats { return s.sched.Stats() }
 
 func TestEngineFlagReachesRequestDispatcher(t *testing.T) {
 	// The -engine value must land in the DiffusionRequest behind every
@@ -140,7 +140,7 @@ func TestEngineFlagReachesRequestDispatcher(t *testing.T) {
 			t.Fatalf("-engine %s request knobs lost: %+v", name, scorer.req)
 		}
 	}
-	if _, err := newQueryScorer(testSpecs(), testVocab(t), scorerConfig{engine: "mailboxes", alpha: 0.5}, nil); err == nil {
+	if _, err := newQueryScorer(testSpecs(), testVocab(t), scorerConfig{engine: "mailboxes", alpha: 0.5}); err == nil {
 		t.Fatal("unknown engine name must error")
 	}
 }
@@ -187,7 +187,7 @@ func TestClassAndDeadlineFlagsReachSubmissions(t *testing.T) {
 	scorer, err := newQueryScorer(testSpecs(), vocab, scorerConfig{
 		engine: "parallel", alpha: 0.5, workers: 1, seed: 42,
 		maxBatch: 8, cache: 32, class: serve.Bulk, deadline: time.Minute,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestClassAndDeadlineFlagsReachSubmissions(t *testing.T) {
 	hopeless, err := newQueryScorer(testSpecs(), vocab, scorerConfig{
 		engine: "parallel", alpha: 0.5, workers: 1, seed: 42,
 		maxBatch: 8, deadline: -time.Second,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestClassAndDeadlineFlagsReachSubmissions(t *testing.T) {
 func TestNewQueryScorerRejectsUnknownNeighbour(t *testing.T) {
 	specs := testSpecs()
 	specs[9] = peerSpec{addr: "a:9", neighbors: []graph.NodeID{77}}
-	if _, err := newQueryScorer(specs, testVocab(t), scorerConfig{engine: "parallel", alpha: 0.5}, nil); err == nil {
+	if _, err := newQueryScorer(specs, testVocab(t), scorerConfig{engine: "parallel", alpha: 0.5}); err == nil {
 		t.Fatal("neighbour outside the topology must error")
 	}
 }
@@ -300,7 +300,7 @@ func TestRankQueryExactAndFollowsPatch(t *testing.T) {
 	scorer, err := newQueryScorer(testSpecs(), vocab, scorerConfig{
 		engine: "parallel", alpha: 0.5, workers: 1, seed: 42,
 		maxBatch: 8, cache: 32, topk: 2,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,63 +353,6 @@ func TestRankQueryExactAndFollowsPatch(t *testing.T) {
 	check("after patch", 4)
 }
 
-func TestShardedScorerMatchesSingleCSR(t *testing.T) {
-	// -shards changes where the mirror diffuses, not what it answers.
-	vocab := testVocab(t)
-	plain := testScorer(t, testSpecs(), "parallel", 1)
-	sharded, err := newQueryScorer(testSpecs(), vocab, scorerConfig{
-		engine: "parallel", alpha: 0.5, workers: 1, seed: 42,
-		maxBatch: 8, cache: 32, shards: 2, partitioner: graph.RangePartitioner{},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sharded.Close)
-	q := vocab.Vector(3)
-	a, err := plain.Score(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sharded.Score(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sharded mirror differs at node %d: %g vs %g", i, b[i], a[i])
-		}
-	}
-}
-
-func TestMultiTenantScorer(t *testing.T) {
-	// Extra -tenants graphs serve through their own schedulers in the same
-	// process; the local overlay keeps its identity.
-	vocab := testVocab(t)
-	other := map[int]peerSpec{
-		0: {addr: "b:1", neighbors: []graph.NodeID{1}, docs: []retrieval.DocID{20}},
-		1: {addr: "b:2", neighbors: []graph.NodeID{0}},
-	}
-	scorer, err := newQueryScorer(testSpecs(), vocab, scorerConfig{
-		engine: "parallel", alpha: 0.5, workers: 1, seed: 42,
-		maxBatch: 8, cache: 32, shards: 2, partitioner: graph.RangePartitioner{},
-	}, map[string]map[int]peerSpec{"other": other})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(scorer.Close)
-	names := scorer.Tenants()
-	if len(names) != 2 || names[0] != localTenant || names[1] != "other" {
-		t.Fatalf("tenants %v", names)
-	}
-	if _, err := scorer.Score(vocab.Vector(3)); err != nil {
-		t.Fatal(err)
-	}
-	stats := scorer.Stats()
-	if stats[localTenant].Completed != 1 || stats["other"].Completed != 0 {
-		t.Fatalf("per-tenant stats wrong: %+v", stats)
-	}
-}
-
 func TestPatchTargetedInvalidation(t *testing.T) {
 	// A one-peer rewire in a larger overlay takes the targeted path: only
 	// cached columns touching the patch neighbourhood drop.
@@ -430,7 +373,7 @@ func TestPatchTargetedInvalidation(t *testing.T) {
 	specs[0] = s0
 	scorer, err := newQueryScorer(specs, vocab, scorerConfig{
 		engine: "parallel", alpha: 0.9, workers: 1, seed: 42, maxBatch: 8, cache: 32,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,26 +464,6 @@ func TestChangedClosure(t *testing.T) {
 	rewired[2] = s2
 	if _, docs := changedClosure(old, rewired); docs {
 		t.Fatal("pure rewire flagged docsChanged")
-	}
-}
-
-func TestLoadTenants(t *testing.T) {
-	path := writeTopo(t, "0 a:1 1\n1 a:2 0\n")
-	got, err := loadTenants("beta=" + path)
-	if err != nil || len(got) != 1 || len(got["beta"]) != 2 {
-		t.Fatalf("loadTenants: %v %v", got, err)
-	}
-	if _, err := loadTenants("nope"); err == nil {
-		t.Fatal("missing = must error")
-	}
-	if _, err := loadTenants("local=" + path); err == nil {
-		t.Fatal("reserved name must error")
-	}
-	if _, err := loadTenants("a=" + path + ",a=" + path); err == nil {
-		t.Fatal("duplicate name must error")
-	}
-	if got, err := loadTenants(""); err != nil || got != nil {
-		t.Fatalf("empty flag: %v %v", got, err)
 	}
 }
 

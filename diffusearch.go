@@ -47,18 +47,6 @@
 //		Deadline: time.Now().Add(20 * time.Millisecond),
 //	})
 //
-//	// Scale-out in one process: NewSharded partitions the overlay into
-//	// per-shard CSRs diffusing concurrently (same request API, results
-//	// within 1e-9 of the single CSR), and a MultiScheduler serves many
-//	// tenant graphs over one shared DiffusionPool (see NewMultiScheduler).
-//	pool := diffusearch.NewDiffusionPool(0)
-//	sharded := diffusearch.NewSharded(env.Graph, env.Bench.Vocabulary(),
-//		diffusearch.ShardConfig{Shards: 4, Pool: pool})
-//
-// The historical DiffuseSync / DiffuseAsync / DiffuseParallel /
-// DiffuseWithFilter / FastNodeScores entry points remain as deprecated
-// shims over Run and ScoreBatch.
-//
 // See the examples/ directory for runnable programs and cmd/experiments for
 // the harness that regenerates every table and figure of the paper.
 package diffusearch
@@ -74,7 +62,6 @@ import (
 	"diffusearch/internal/randx"
 	"diffusearch/internal/retrieval"
 	"diffusearch/internal/serve"
-	"diffusearch/internal/shard"
 	"diffusearch/internal/telemetry"
 	"diffusearch/internal/topk"
 	"diffusearch/internal/walkindex"
@@ -160,39 +147,11 @@ type (
 	// ServeClass is a scheduling class (carried on DiffusionRequest.Class
 	// for dispatched batches).
 	ServeClass = core.ServeClass
-	// ServeFairness configures a fair MultiScheduler's weighted
-	// deficit-round-robin dispatch arbiter (see NewMultiSchedulerFair).
-	ServeFairness = serve.Fairness
-	// ServeFairStats is one tenant's dispatch-arbiter grant snapshot.
-	ServeFairStats = serve.FairStats
 	// WaitQuantiles are per-class coalescing-wait quantiles in ServeStats.
 	WaitQuantiles = serve.WaitQuantiles
 	// ServeBackend scores query batches for a Scheduler; *Network
 	// satisfies it.
 	ServeBackend = serve.Backend
-	// ShardedNetwork is a Network whose diffusions run over partitioned
-	// Transition shards diffusing concurrently with residual hand-off
-	// across boundary edges. Same request API; construct with NewSharded
-	// (or shard an existing Network with AttachShards).
-	ShardedNetwork = shard.ShardedNetwork
-	// ShardConfig parameterizes sharding: shard count, partitioner, and
-	// the shared worker pool multi-tenant deployments diffuse on.
-	ShardConfig = shard.Config
-	// Partitioner splits a graph's node set into shards.
-	Partitioner = graph.Partitioner
-	// RangePartitioner keeps contiguous node-id ranges together (the
-	// default edge-cut).
-	RangePartitioner = graph.RangePartitioner
-	// GreedyPartitioner balances per-shard edge volume on hub-heavy
-	// graphs (degree-balanced greedy assignment).
-	GreedyPartitioner = graph.GreedyPartitioner
-	// DiffusionPool is a shared fixed-size worker pool: several tenants'
-	// sharded diffusions run concurrently on one bounded goroutine set.
-	DiffusionPool = diffuse.Pool
-	// MultiScheduler is the multi-tenant serve layer: one coalescing
-	// Scheduler per registered tenant graph, so a single process serves
-	// many overlays. Construct with NewMultiScheduler.
-	MultiScheduler = serve.Multi
 	// WalkIndexedNetwork is a Network scoring through a memory-bounded
 	// store of precomputed PPR segments (leading terms of each document
 	// host's PPR column) with an exact residual finish — results match the
@@ -211,7 +170,7 @@ type (
 	// WalkIndexRefreshConfig paces a WalkIndexRefresher (poll interval and
 	// seeds per task).
 	WalkIndexRefreshConfig = walkindex.RefreshConfig
-	// ScorerKind names a scoring backend (csr, sharded, or walkindex);
+	// ScorerKind names a scoring backend (csr or walkindex);
 	// parse command-line values with ParseScorer.
 	ScorerKind = core.ScorerKind
 	// RankedResult is one query's top-k document hosts with their scores;
@@ -316,7 +275,6 @@ const (
 // Scoring backends a Network can serve through (see ParseScorer).
 const (
 	ScorerCSR       = core.ScorerCSR
-	ScorerSharded   = core.ScorerSharded
 	ScorerWalkIndex = core.ScorerWalkIndex
 )
 
@@ -377,23 +335,6 @@ var (
 	// NewScheduler starts an admission-controlled coalescing scheduler
 	// over a scoring backend (typically a *Network).
 	NewScheduler = serve.New
-	// NewSharded creates a search network whose diffusions run over
-	// partitioned Transition shards (see ShardConfig).
-	NewSharded = shard.NewSharded
-	// AttachShards installs sharded scoring on an existing Network in
-	// place and returns the ShardedNetwork wrapper.
-	AttachShards = shard.Attach
-	// NewDiffusionPool starts a shared diffusion worker pool (workers ≤ 0
-	// selects GOMAXPROCS); Close releases it.
-	NewDiffusionPool = diffuse.NewPool
-	// NewMultiScheduler returns an empty per-tenant scheduler registry;
-	// Register each tenant's backend, then Submit by tenant name.
-	NewMultiScheduler = serve.NewMulti
-	// NewMultiSchedulerFair returns a per-tenant scheduler registry whose
-	// dispatches onto the shared DiffusionPool pass a weighted
-	// deficit-round-robin arbiter, so one hot tenant cannot starve the
-	// rest (see ServeFairness).
-	NewMultiSchedulerFair = serve.NewMultiFair
 	// ParseServeClass maps a command-line name (interactive|bulk) to a
 	// scheduling class.
 	ParseServeClass = serve.ParseClass
@@ -407,7 +348,7 @@ var (
 	// WalkIndexDocSeeds lists a network's document hosts, hottest first —
 	// the default seed set of AttachWalkIndex.
 	WalkIndexDocSeeds = walkindex.DocSeeds
-	// ParseScorer maps a command-line name (csr|sharded|walkindex) to a
+	// ParseScorer maps a command-line name (csr|walkindex) to a
 	// ScorerKind.
 	ParseScorer = core.ParseScorer
 	// AttachTopK installs the bidirectional top-k ranker on an existing

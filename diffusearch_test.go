@@ -1,7 +1,6 @@
 package diffusearch_test
 
 import (
-	"context"
 	"testing"
 
 	"diffusearch"
@@ -51,84 +50,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if !shared.Found {
 		t.Fatalf("batch-scored walk must find the local gold: %+v", shared)
-	}
-}
-
-// TestShardedFacadeEndToEnd drives the sharded multi-tenant surface as the
-// package documentation advertises: a ShardedNetwork answers the same
-// request API within 1e-9 of the single CSR, and a MultiScheduler serves
-// two tenants over one shared pool.
-func TestShardedFacadeEndToEnd(t *testing.T) {
-	env, err := diffusearch.NewScaledEnvironment(42, 0.08)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(n interface {
-		PlaceDocuments([]diffusearch.DocID, []diffusearch.NodeID) error
-		ComputePersonalization() error
-	}) []float64 {
-		r := diffusearch.NewRand(42)
-		pair := env.Bench.SamplePair(r)
-		docs := append([]diffusearch.DocID{pair.Gold}, env.Bench.SamplePool(r, 49)...)
-		if err := n.PlaceDocuments(docs, diffusearch.UniformHosts(r, len(docs), env.Graph.NumNodes())); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.ComputePersonalization(); err != nil {
-			t.Fatal(err)
-		}
-		return env.Bench.Vocabulary().Vector(pair.Query)
-	}
-	plain := diffusearch.NewNetwork(env.Graph, env.Bench.Vocabulary())
-	query := build(plain)
-
-	pool := diffusearch.NewDiffusionPool(2)
-	defer pool.Close()
-	sharded := diffusearch.NewSharded(env.Graph, env.Bench.Vocabulary(),
-		diffusearch.ShardConfig{Shards: 3, Partitioner: diffusearch.GreedyPartitioner{}, Pool: pool})
-	build(sharded)
-
-	req := diffusearch.DiffusionRequest{Alpha: 0.5, Tenant: "alpha"}
-	want, _, err := plain.ScoreBatch([][]float64{query}, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := sharded.ScoreBatch([][]float64{query}, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want[0] {
-		d := got[0][i] - want[0][i]
-		if d > 1e-9 || d < -1e-9 {
-			t.Fatalf("sharded facade diverges at node %d: %g vs %g", i, got[0][i], want[0][i])
-		}
-	}
-	if st.CrossMessages == 0 {
-		t.Fatal("3-shard diffusion reported no cross-shard traffic")
-	}
-
-	multi := diffusearch.NewMultiScheduler()
-	defer multi.Close()
-	if _, err := multi.Register("alpha", sharded, diffusearch.ServeConfig{
-		Request: diffusearch.DiffusionRequest{Alpha: 0.5},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := multi.Register("beta", plain, diffusearch.ServeConfig{
-		Request: diffusearch.DiffusionRequest{Alpha: 0.5},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	a, err := multi.Submit(ctx, "alpha", query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := multi.Submit(ctx, "beta", query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) || len(a) != env.Graph.NumNodes() {
-		t.Fatalf("tenant score shapes: %d vs %d", len(a), len(b))
 	}
 }
 

@@ -126,57 +126,7 @@ func main() {
 	fmt.Printf("scheduler: %d queries served by %d diffusion(s), cache hit rate %.2f\n",
 		sst.Completed+sst.CacheHits, sst.Batches, sst.CacheHitRate())
 
-	// 7. Multi-tenant sharding: one process serving two tenant graphs.
-	//    Each tenant's overlay is partitioned into Transition shards that
-	//    diffuse concurrently on one shared worker pool (same scores as a
-	//    single CSR, within 1e-9), and a MultiScheduler gives every tenant
-	//    its own coalescing scheduler and cache.
-	pool := diffusearch.NewDiffusionPool(0)
-	defer pool.Close()
-	multi := diffusearch.NewMultiScheduler()
-	defer multi.Close()
-	tenants := map[string]uint64{"alpha": 7, "beta": 8}
-	tenantQueries := make(map[string][]float64)
-	for name, tseed := range tenants {
-		tenv, err := diffusearch.NewScaledEnvironment(tseed, 0.1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tnet := diffusearch.NewSharded(tenv.Graph, tenv.Bench.Vocabulary(),
-			diffusearch.ShardConfig{Shards: 2, Pool: pool})
-		tr := diffusearch.NewRand(tseed)
-		tpair := tenv.Bench.SamplePair(tr)
-		tdocs := append([]diffusearch.DocID{tpair.Gold}, tenv.Bench.SamplePool(tr, 29)...)
-		if err := tnet.PlaceDocuments(tdocs, diffusearch.UniformHosts(tr, len(tdocs), tenv.Graph.NumNodes())); err != nil {
-			log.Fatal(err)
-		}
-		if err := tnet.ComputePersonalization(); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := multi.Register(name, tnet, diffusearch.ServeConfig{
-			Request: diffusearch.DiffusionRequest{Alpha: 0.5},
-			Cache:   64,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		tenantQueries[name] = tenv.Bench.Vocabulary().Vector(tpair.Query)
-	}
-	for _, name := range multi.Tenants() {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			if _, err := multi.Submit(context.Background(), name, tenantQueries[name]); err != nil {
-				log.Fatal(err)
-			}
-		}(name)
-	}
-	wg.Wait()
-	for name, st := range multi.Stats() {
-		fmt.Printf("tenant %s: %d served, %d diffusion(s), queue max %d\n",
-			name, st.Completed+st.CacheHits, st.Batches, st.QueueMax)
-	}
-
-	// 8. Priority classes: one Bulk prewarm rides along with Interactive
+	// 7. Priority classes: one Bulk prewarm rides along with Interactive
 	//    queries. The Bulk submission volunteers to wait (it wants width,
 	//    not latency); the Interactive queries jump the coalesce window —
 	//    with a deadline, a query the scheduler cannot dispatch in time is
@@ -209,7 +159,7 @@ func main() {
 		pst.ClassWait[diffusearch.ClassInteractive].P99,
 		pst.ClassWait[diffusearch.ClassBulk].P99, pst.DeadlineMissed)
 
-	// 9. Walk-index serving: attach a precomputed PPR segment store to the
+	// 8. Walk-index serving: attach a precomputed PPR segment store to the
 	//    network and build it offline — queries then assemble cached
 	//    segments and finish only the residual, with scores within the
 	//    request tolerance of the plain CSR backend (peerd: -scorer
@@ -236,12 +186,12 @@ func main() {
 	}
 	fmt.Printf("walk-index scores match CSR within %.1e\n", maxDiff)
 
-	// 10. Certified top-k: attach the bidirectional ranker (reverse-push
-	//     tables from the document hosts) and ask for the k best hosts via
-	//     DiffusionRequest.TopK — the forward diffusion stops at the first
-	//     sweep whose k/(k+1) score gap is provably final. The result set
-	//     always equals the full-vector top-k: without a certificate the
-	//     backend falls back to full convergence, never an approximation.
+	// 9. Certified top-k: attach the bidirectional ranker (reverse-push
+	//    tables from the document hosts) and ask for the k best hosts via
+	//    DiffusionRequest.TopK — the forward diffusion stops at the first
+	//    sweep whose k/(k+1) score gap is provably final. The result set
+	//    always equals the full-vector top-k: without a certificate the
+	//    backend falls back to full convergence, never an approximation.
 	net.SetScorer(nil) // rank on the plain CSR backend
 	if _, err := diffusearch.AttachTopK(net, diffusearch.TopKConfig{Alpha: 0.5}); err != nil {
 		log.Fatal(err)
@@ -258,7 +208,7 @@ func main() {
 	}
 	fmt.Println()
 
-	// 11. Observability: one MetricsRegistry collects every layer — the
+	// 10. Observability: one MetricsRegistry collects every layer — the
 	//     stock diffusion observer turns per-sweep convergence stats into
 	//     histograms (observed runs stay bit-identical to bare ones), and
 	//     a scheduler trace hook counts resolutions by path — and serves
@@ -323,10 +273,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("statusz: local tenant resolved %d submissions (%d from cache)\n",
+	fmt.Printf("statusz: local scheduler resolved %d submissions (%d from cache)\n",
 		status["local"].Completed+status["local"].CacheHits, status["local"].CacheHits)
 
-	// 12. Routed fan-out: each peer gossips a compact bloom summary of its
+	// 11. Routed fan-out: each peer gossips a compact bloom summary of its
 	//     document holdings piggybacked on the embed messages, and a
 	//     forwarded query carries doc-term keys mined from its embedding.
 	//     Every hop consults its cached neighbour summaries — steering to

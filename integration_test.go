@@ -11,6 +11,7 @@ import (
 
 	"diffusearch"
 	"diffusearch/internal/core"
+	"diffusearch/internal/diffuse"
 	"diffusearch/internal/expt"
 	"diffusearch/internal/gengraph"
 	"diffusearch/internal/graph"
@@ -64,7 +65,7 @@ func TestSimulatorAndPeerRuntimeAgree(t *testing.T) {
 	if err := net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.DiffuseSync(0.3, 1e-10); err != nil {
+	if _, err := net.Run(core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.3, Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,7 +16,7 @@ func TestDiffuseEngineSelection(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.DiffuseSync(0.5, 1e-10); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5, Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 	want := make([][]float64, f.net.Graph().NumNodes())
@@ -28,7 +28,7 @@ func TestDiffuseEngineSelection(t *testing.T) {
 		want[u] = vecmath.Clone(e)
 	}
 	for _, eng := range []diffuse.Engine{diffuse.EngineAsynchronous, diffuse.EngineParallel} {
-		st, err := f.net.Diffuse(eng, diffuse.Params{Alpha: 0.5, Tol: 1e-8}, 9)
+		st, err := f.net.Run(DiffusionRequest{Engine: eng, Alpha: 0.5, Tol: 1e-8, Seed: 9})
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
@@ -56,7 +56,7 @@ func TestDiffuseParallelShorthand(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := f.net.DiffuseParallel(0.5, 0, 2)
+	st, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineParallel, Alpha: 0.5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +67,10 @@ func TestDiffuseParallelShorthand(t *testing.T) {
 
 func TestDiffuseRequiresPersonalization(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.net.Diffuse(diffuse.EngineParallel, diffuse.Params{Alpha: 0.5}, 1); !errors.Is(err, ErrNoPersonalization) {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineParallel, Alpha: 0.5, Seed: 1}); !errors.Is(err, ErrNoPersonalization) {
 		t.Fatalf("want ErrNoPersonalization, got %v", err)
 	}
-	if _, err := f.net.DiffuseParallel(0.5, 0, 0); !errors.Is(err, ErrNoPersonalization) {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineParallel, Alpha: 0.5}); !errors.Is(err, ErrNoPersonalization) {
 		t.Fatalf("want ErrNoPersonalization, got %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"diffusearch/internal/diffuse"
 	"diffusearch/internal/graph"
 	"diffusearch/internal/randx"
 	"diffusearch/internal/sim"
@@ -17,7 +18,7 @@ func prepared(t *testing.T, m int, alpha float64, seed uint64) (*fixture, embedP
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.DiffuseSync(alpha, 1e-10); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha, Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 	return f, embedPair{Query: pair.Query, Gold: pair.Gold}

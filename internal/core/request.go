@@ -11,10 +11,9 @@ import (
 )
 
 // DefaultScoreTol is the per-column convergence tolerance ScoreBatch uses
-// when the request leaves Tol zero. Scoring keeps the historical
-// FastNodeScores precision (ppr.DefaultTol, the single authoritative
-// constant) on every engine, so switching engines never loosens query
-// relevances silently.
+// when the request leaves Tol zero. Scoring keeps the ppr.PPRFilter
+// precision (ppr.DefaultTol, the single authoritative constant) on every
+// engine, so switching engines never loosens query relevances silently.
 const DefaultScoreTol = ppr.DefaultTol
 
 // ServeClass is the scheduling class a serving-layer request belongs to.
@@ -47,9 +46,7 @@ func (c ServeClass) String() string {
 
 // DiffusionRequest is the single dispatch struct behind every diffusion on
 // a Network: embedding diffusion (Run) and batch query scoring
-// (ScoreBatch). It replaces the historical DiffuseSync / DiffuseAsync /
-// DiffuseParallel / DiffuseWithFilter / FastNodeScores spread of
-// inconsistently-knobbed entry points.
+// (ScoreBatch).
 type DiffusionRequest struct {
 	// Engine selects the diffusion driver; the zero value selects
 	// diffuse.EngineParallel, the fast path for serving.
@@ -72,7 +69,7 @@ type DiffusionRequest struct {
 	// values are rejected. Every plan produces bit-identical scores — the
 	// knob trades only throughput — so it is safe to leave on auto
 	// everywhere; override it when profiling shows the default tile
-	// misfits the host's cache. Sharded scoring backends ignore it.
+	// misfits the host's cache.
 	ColTile int
 	// Seed drives the Asynchronous engine's update schedule; the other
 	// engines are schedule-independent and ignore it.
@@ -81,26 +78,20 @@ type DiffusionRequest struct {
 	// graph filter (§II-C; e.g. ppr.HeatKernelFilter). Filter runs have no
 	// per-column early termination and do not record Alpha on the network.
 	// Filters always run on the network's full CSR: they are defined over
-	// the whole operator, so a sharded scoring backend does not apply.
+	// the whole operator, so an installed scoring backend does not apply.
 	Filter ppr.Filter
-	// Tenant names the graph this request targets in a multi-tenant serve
-	// deployment. The diffusion engines ignore it; the serve layer's
-	// per-tenant scheduler registry (serve.Multi) stamps it on every
-	// dispatched request so stats and traces identify which tenant a batch
-	// belonged to.
-	Tenant string
 	// Class tags the scheduling class of a serving-layer dispatch: the
 	// serve.Scheduler stamps ClassBulk on batches whose every column is
 	// width-filling background work (prewarms, analytics) and
-	// ClassInteractive otherwise. The engines ignore it, like Tenant.
+	// ClassInteractive otherwise. The engines ignore it.
 	Class ServeClass
 	// TopK, when > 0, asks for the k best-scoring document-host nodes
 	// instead of the full per-node score vector. ScoreBatchTopK serves it —
 	// through the bidirectional ranker when one is attached (internal/topk:
 	// reverse-push bounds let the forward diffusion stop as soon as the
 	// top-k set is provably stable), through a full-vector diffusion plus
-	// ranking otherwise. Run and ScoreBatch ignore it, like Tenant and
-	// Class: a full-vector entry point always returns the full vector.
+	// ranking otherwise. Run and ScoreBatch ignore it, like Class: a
+	// full-vector entry point always returns the full vector.
 	TopK int
 	// Observer, when non-nil, taps the convergence profile: the column
 	// kernels behind Run, ScoreBatch, and ScoreBatchTopK deliver one
@@ -126,9 +117,8 @@ func (r DiffusionRequest) params() diffuse.Params {
 }
 
 // projectQueries builds the n×B relevance signal x_j[v] = e_qj · E0[v] that
-// both ScoreBatch and ScoreBatchTopK diffuse (the linearity trick of
-// FastNodeScores). Requires the DotProduct scorer and computed
-// personalization.
+// both ScoreBatch and ScoreBatchTopK diffuse (the linearity trick; see
+// ScoreBatch). Requires the DotProduct scorer and computed personalization.
 func (n *Network) projectQueries(queries [][]float64) (*vecmath.Matrix, error) {
 	if n.perso == nil {
 		return nil, ErrNoPersonalization
@@ -195,13 +185,14 @@ func (n *Network) Run(req DiffusionRequest) (diffuse.Stats, error) {
 
 // ScoreBatch scores every node for a batch of B queries in one diffusion:
 // it projects the personalization matrix onto each query (x_j[v] = e_qj ·
-// E0[v], the linearity trick of FastNodeScores), assembles the n×B
-// relevance Signal, diffuses it column-blocked on the selected engine
-// (default Parallel), and returns one per-node score slice per query.
-// Compared to B independent FastNodeScores calls this streams each CSR row
-// once per node per batch instead of once per query, and early-terminated
-// columns (see Stats.ColumnSweeps) stop costing work while slower ones
-// finish.
+// E0[v]), assembles the n×B relevance Signal, diffuses it column-blocked
+// on the selected engine (default Parallel), and returns one per-node
+// score slice per query. By linearity s[u] = e_q·(H·E0)[u] = (H·x)[u], so
+// no diffused embeddings are materialized; a single sync column is
+// bit-compatible with ppr.PPRFilter. Compared to B single-query calls this
+// streams each CSR row once per node per batch instead of once per query,
+// and early-terminated columns (see Stats.ColumnSweeps) stop costing work
+// while slower ones finish.
 //
 // Requires the DotProduct scorer and computed personalization. Tol 0
 // selects DefaultScoreTol on every engine.

@@ -12,12 +12,10 @@ import (
 // given the resolved engine and parameters of a DiffusionRequest, it
 // smooths an embedding matrix (Diffuse) or a batched scalar relevance
 // signal (DiffuseSignal) over some representation of the topology. The
-// default backend diffuses the network's single CSR; internal/shard
-// provides a partitioned implementation that diffuses per-shard CSRs
-// concurrently on a shared worker pool, so one process can serve many
-// tenant graphs. Swapping the backend changes where the diffusion runs,
-// never the request API — every entry point keeps going through
-// DiffusionRequest.
+// default backend diffuses the network's single CSR; internal/walkindex
+// answers from precomputed PPR segments instead. Swapping the backend
+// changes how the diffusion runs, never the request API — every entry
+// point keeps going through DiffusionRequest.
 type Scorer interface {
 	// Diffuse smooths an n×d embedding matrix (Network.Run's engine path).
 	Diffuse(e0 *vecmath.Matrix, engine diffuse.Engine, p diffuse.Params, seed uint64) (*vecmath.Matrix, diffuse.Stats, error)
@@ -42,8 +40,8 @@ func (s *csrScorer) DiffuseSignal(sig *diffuse.Signal, engine diffuse.Engine, p 
 	return diffuse.RunSignal(engine, s.tr, sig, p, seed)
 }
 
-// SetScorer installs a custom diffusion backend (e.g. the sharded backend
-// of internal/shard). Passing nil restores the single-CSR default over the
+// SetScorer installs a custom diffusion backend (e.g. the walk index of
+// internal/walkindex). Passing nil restores the single-CSR default over the
 // network's current transition operator. The backend must diffuse over the
 // same topology the network was built on — scores and embeddings are
 // indexed by this network's node ids.
@@ -58,13 +56,12 @@ func (n *Network) SetScorer(s Scorer) {
 func (n *Network) ScoringBackend() Scorer { return n.scoring }
 
 // ScorerKind names a scoring backend for command-line selection
-// (peerd -scorer): the single-CSR default, the partitioned backend of
-// internal/shard, or the precomputed walk index of internal/walkindex.
+// (peerd -scorer): the single-CSR default or the precomputed walk index of
+// internal/walkindex.
 type ScorerKind int
 
 const (
 	ScorerCSR ScorerKind = iota + 1
-	ScorerSharded
 	ScorerWalkIndex
 )
 
@@ -73,8 +70,6 @@ func (k ScorerKind) String() string {
 	switch k {
 	case ScorerCSR:
 		return "csr"
-	case ScorerSharded:
-		return "sharded"
 	case ScorerWalkIndex:
 		return "walkindex"
 	}
@@ -88,10 +83,8 @@ func ParseScorer(s string) (ScorerKind, error) {
 	switch s {
 	case "", "csr":
 		return ScorerCSR, nil
-	case "sharded":
-		return ScorerSharded, nil
 	case "walkindex":
 		return ScorerWalkIndex, nil
 	}
-	return 0, fmt.Errorf("core: unknown scorer %q (want csr|sharded|walkindex)", s)
+	return 0, fmt.Errorf("core: unknown scorer %q (want csr|walkindex)", s)
 }

@@ -7,7 +7,7 @@ import (
 
 func TestParseScorer(t *testing.T) {
 	for name, want := range map[string]ScorerKind{
-		"": ScorerCSR, "csr": ScorerCSR, "sharded": ScorerSharded, "walkindex": ScorerWalkIndex,
+		"": ScorerCSR, "csr": ScorerCSR, "walkindex": ScorerWalkIndex,
 	} {
 		got, err := ParseScorer(name)
 		if err != nil || got != want {
@@ -17,7 +17,7 @@ func TestParseScorer(t *testing.T) {
 			t.Fatalf("%v must have a name", got)
 		}
 	}
-	for _, k := range []ScorerKind{ScorerCSR, ScorerSharded, ScorerWalkIndex} {
+	for _, k := range []ScorerKind{ScorerCSR, ScorerWalkIndex} {
 		back, err := ParseScorer(k.String())
 		if err != nil || back != k {
 			t.Fatalf("round-trip %v: got %v, %v", k, back, err)
@@ -36,7 +36,7 @@ func TestParseScorerRejectionListsNames(t *testing.T) {
 	if !strings.Contains(msg, "btree") {
 		t.Fatalf("error %q does not echo the rejected value", msg)
 	}
-	for _, name := range []string{"csr", "sharded", "walkindex"} {
+	for _, name := range []string{"csr", "walkindex"} {
 		if !strings.Contains(msg, name) {
 			t.Fatalf("error %q does not list accepted name %q", msg, name)
 		}

@@ -58,12 +58,6 @@ type Stats struct {
 	// dropped below the engine's retirement threshold. Early-terminated
 	// columns show smaller counts than Sweeps.
 	ColumnSweeps []int
-
-	// CrossMessages, set only by the sharded kernels (RunSharded), counts
-	// the subset of Messages whose sender and receiver live in different
-	// shards — the residual traffic a distributed deployment would put on
-	// the wire. Always ≤ Messages; 0 for single-shard or unsharded runs.
-	CrossMessages int64
 }
 
 // Params configure a diffusion run.
@@ -73,12 +67,11 @@ type Params struct {
 	MaxSweeps int     // sweep/round budget; 0 means DefaultMaxSweeps
 	Workers   int     // Parallel engine only: pool size; 0 means GOMAXPROCS
 
-	// ColTile selects the column plan of the single-CSR kernels (see
+	// ColTile selects the column plan of the column kernels (see
 	// tile.go): 0 splits wide batches (B ≥ 256) into tiles sized by the L2
 	// cache model and runs narrower ones as one tile, > 0 forces that tile
 	// width at any batch width (≥ B means one tile); negative values are
 	// rejected. Every plan is bit-identical — the knob trades only speed.
-	// The sharded kernels always run one tile.
 	ColTile int
 
 	// Stop, when non-nil, lets the column kernels retire columns before

@@ -48,7 +48,6 @@ func ParallelGSColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, St
 	pool := newWorkerPool(workers)
 	defer pool.close()
 	var cursor atomic.Int64
-	var cum [2]int
 
 	r := newSweepRun(sig, tileWidths(n, cols, colTile), workers, false)
 	scratch := make([][]float64, workers)
@@ -57,10 +56,9 @@ func ParallelGSColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, St
 	}
 	return r.drive(p, tol, maxSweeps, func() (int, bool) {
 		for _, class := range classes {
-			cum[1] = len(class)
 			cursor.Store(0)
 			pool.run(func(id int) {
-				forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
+				forEachClaimed(&cursor, len(class), func(lo, hi int) {
 					for _, u := range class[lo:hi] {
 						for _, t := range r.live {
 							cr := t.res[id]

@@ -3,7 +3,7 @@ package diffuse
 // SweepStat is one per-sweep observation delivered to an Observer by the
 // column kernels. Counters are per-sweep deltas, not running totals: one
 // observer instance is routinely shared across concurrent engine runs
-// (every tenant's scheduler dispatches with the same Params.Observe) and
+// (every batch a scheduler dispatches carries the same Params.Observe) and
 // could not recover deltas from cumulative values. Summing a run's
 // Messages deltas reproduces its final Stats.Messages exactly — the
 // first sweep's delta includes any bootstrap announcement the frontier
@@ -29,9 +29,6 @@ type SweepStat struct {
 	// Messages is the number of embedding messages exchanged during this
 	// sweep alone.
 	Messages int64
-	// CrossMessages is the cross-shard subset of Messages (always zero
-	// for the single-CSR kernels).
-	CrossMessages int64
 }
 
 // Observer receives one SweepStat per sweep from the column kernels when

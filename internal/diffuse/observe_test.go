@@ -16,10 +16,42 @@ type recordingObserver struct {
 
 func (o *recordingObserver) ObserveSweep(s SweepStat) { o.stats = append(o.stats, s) }
 
+// observeTestGraph builds a connected ring with four hubs wired to every
+// fifth node, so the frontier engines see both dense and sparse regions.
+func observeTestGraph() *graph.Graph {
+	const n = 120
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		b.AddEdge(u, (u+1)%n)
+	}
+	for _, h := range []graph.NodeID{0, n/2 - 1, n / 2, n - 1} {
+		for v := 0; v < n; v += 5 {
+			if v != h {
+				b.AddEdge(h, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+func observeTestSignal(n, cols int) *Signal {
+	r := randx.New(99)
+	m := vecmath.NewMatrix(n, cols)
+	for u := 0; u < n; u++ {
+		row := m.Row(u)
+		for j := range row {
+			if r.Float64() < 0.2 { // sparse, like query relevances
+				row[j] = r.Float64()
+			}
+		}
+	}
+	return NewSignal(m)
+}
+
 // runKernel dispatches one named column kernel with fresh inputs.
-func runKernel(t *testing.T, name string, tr *graph.Transition, ss *graph.ShardSet, pool *Pool, cols int, p Params) (*Signal, Stats) {
+func runKernel(t *testing.T, name string, tr *graph.Transition, cols int, p Params) (*Signal, Stats) {
 	t.Helper()
-	sig := shardTestSignal(tr.Graph().NumNodes(), cols)
+	sig := observeTestSignal(tr.Graph().NumNodes(), cols)
 	var out *Signal
 	var st Stats
 	var err error
@@ -30,10 +62,6 @@ func runKernel(t *testing.T, name string, tr *graph.Transition, ss *graph.ShardS
 		out, st, err = AsynchronousColumns(tr, sig, p, randx.New(7))
 	case "parallel":
 		out, st, err = ParallelColumns(tr, sig, p)
-	case "sharded-parallel":
-		out, st, err = ShardedParallelColumns(ss, sig, p, pool)
-	case "sharded-sync":
-		out, st, err = ShardedSynchronousColumns(ss, sig, p, pool)
 	default:
 		t.Fatalf("unknown kernel %q", name)
 	}
@@ -49,27 +77,24 @@ func runKernel(t *testing.T, name string, tr *graph.Transition, ss *graph.ShardS
 // retirement sweeps, and the same message totals whether or not an
 // observer is watching.
 func TestObserverNeverPerturbsKernels(t *testing.T) {
-	g := shardTestGraph()
+	g := observeTestGraph()
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
-	ss := graph.NewShardSet(tr, graph.RangePartitioner{}, 3)
-	pool := NewPool(4)
-	defer pool.Close()
 	const cols = 5
 	p := Params{Alpha: 0.5, Tol: 1e-8, Workers: 4}
 
-	for _, name := range []string{"sync", "async", "parallel", "sharded-parallel", "sharded-sync"} {
-		bare, bst := runKernel(t, name, tr, ss, pool, cols, p)
+	for _, name := range []string{"sync", "async", "parallel"} {
+		bare, bst := runKernel(t, name, tr, cols, p)
 
 		obs := &recordingObserver{}
 		po := p
 		po.Observe = obs
-		watched, wst := runKernel(t, name, tr, ss, pool, cols, po)
+		watched, wst := runKernel(t, name, tr, cols, po)
 
 		if d := vecmath.MaxAbsDiffMatrix(watched.Matrix(), bare.Matrix()); d != 0 {
 			t.Errorf("%s: observed run differs from bare run by %g (must be bit-identical)", name, d)
 		}
 		if wst.Sweeps != bst.Sweeps || wst.Updates != bst.Updates ||
-			wst.Messages != bst.Messages || wst.CrossMessages != bst.CrossMessages {
+			wst.Messages != bst.Messages {
 			t.Errorf("%s: stats diverged under observation: %+v vs %+v", name, wst, bst)
 		}
 		if len(wst.ColumnSweeps) != len(bst.ColumnSweeps) {
@@ -85,7 +110,7 @@ func TestObserverNeverPerturbsKernels(t *testing.T) {
 		if len(obs.stats) != wst.Sweeps {
 			t.Fatalf("%s: %d observations for %d sweeps", name, len(obs.stats), wst.Sweeps)
 		}
-		var msgs, cross int64
+		var msgs int64
 		for i, s := range obs.stats {
 			if s.Sweep != i+1 {
 				t.Errorf("%s: observation %d carries sweep index %d", name, i, s.Sweep)
@@ -100,13 +125,9 @@ func TestObserverNeverPerturbsKernels(t *testing.T) {
 				t.Errorf("%s: sweep %d: NaN residual mass", name, s.Sweep)
 			}
 			msgs += s.Messages
-			cross += s.CrossMessages
 		}
 		if msgs != wst.Messages {
 			t.Errorf("%s: per-sweep message deltas sum to %d, run total %d", name, msgs, wst.Messages)
-		}
-		if cross != wst.CrossMessages {
-			t.Errorf("%s: per-sweep cross deltas sum to %d, run total %d", name, cross, wst.CrossMessages)
 		}
 		last := obs.stats[len(obs.stats)-1]
 		if !wst.Converged {
@@ -127,10 +148,10 @@ func TestObserverNeverPerturbsKernels(t *testing.T) {
 // bootstrap round, and the residual profile must end below where it
 // started.
 func TestObserverSeesEarlyTermination(t *testing.T) {
-	g := shardTestGraph()
+	g := observeTestGraph()
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	obs := &recordingObserver{}
-	_, st, err := ParallelColumns(tr, shardTestSignal(g.NumNodes(), 3),
+	_, st, err := ParallelColumns(tr, observeTestSignal(g.NumNodes(), 3),
 		Params{Alpha: 0.5, Tol: 1e-8, Workers: 2, Observe: obs})
 	if err != nil {
 		t.Fatal(err)

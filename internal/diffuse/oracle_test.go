@@ -57,8 +57,8 @@ func resolventNorm(t *testing.T, tr *graph.Transition, alpha float64) float64 {
 	return norm
 }
 
-// TestEnginesMatchDenseClosedForm checks every visit order × column plan ×
-// row plan against an oracle that shares no code with the engines: the
+// TestEnginesMatchDenseClosedForm checks every visit order × column plan
+// against an oracle that shares no code with the engines: the
 // dense Gaussian-elimination solution of eq. 6. The bit-identity property
 // tests compare the engines with each other; this is the test that fails
 // when they drift together. Columns carry different magnitudes, so they
@@ -84,7 +84,6 @@ func TestEnginesMatchDenseClosedForm(t *testing.T) {
 	if bound > 1e-5 {
 		t.Fatalf("bound %g is too loose to catch a drift", bound)
 	}
-	ss := graph.NewShardSet(tr, graph.RangePartitioner{}, 3)
 	plans := []struct {
 		name    string
 		colTile int
@@ -92,24 +91,15 @@ func TestEnginesMatchDenseClosedForm(t *testing.T) {
 	for _, eng := range []Engine{EngineSync, EngineAsynchronous, EngineParallel, EngineParallelGS} {
 		for _, plan := range plans {
 			p := Params{Alpha: alpha, Tol: tol, MaxSweeps: 5000, Workers: 3, ColTile: plan.colTile}
-			for _, rows := range []string{"single CSR", "3 shards"} {
-				t.Run(fmt.Sprintf("%v/%s/%s", eng, plan.name, rows), func(t *testing.T) {
-					var got *Signal
-					var st Stats
-					var err error
-					if rows == "single CSR" {
-						got, st, err = RunSignal(eng, tr, NewSignal(e0), p, 5)
-					} else {
-						got, st, err = RunSharded(eng, ss, NewSignal(e0), p, 5, nil)
-					}
-					if err != nil || !st.Converged {
-						t.Fatalf("converged=%v err=%v", st.Converged, err)
-					}
-					if d := vecmath.MaxAbsDiffMatrix(got.Matrix(), want); d > bound {
-						t.Errorf("off the closed form by %g, bound %g", d, bound)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%v/%s/single CSR", eng, plan.name), func(t *testing.T) {
+				got, st, err := RunSignal(eng, tr, NewSignal(e0), p, 5)
+				if err != nil || !st.Converged {
+					t.Fatalf("converged=%v err=%v", st.Converged, err)
+				}
+				if d := vecmath.MaxAbsDiffMatrix(got.Matrix(), want); d > bound {
+					t.Errorf("off the closed form by %g, bound %g", d, bound)
+				}
+			})
 		}
 	}
 }

@@ -15,38 +15,17 @@ import (
 // atomic increment.
 const frontierChunk = 128
 
-// forEachClaimed drains chunked work items over the concatenation of the
-// per-shard lists sized by cum (cum[s]..cum[s+1] covers shard s) and calls
-// visit once per (shard, index-range-within-shard) run. Chunk claims go
-// through the shared atomic cursor; it is the single claim loop behind
-// every phase of the parallel engines — single-CSR phases pass a 2-entry
-// cum ({0, len(frontier)}) and concurrently diffusing tenants on one
-// shared pool balance within themselves without coordination between them.
-func forEachClaimed(cursor *atomic.Int64, cum []int, visit func(s, lo, hi int)) {
-	total := cum[len(cum)-1]
+// forEachClaimed drains [0, total) in chunks claimed through the shared
+// atomic cursor and calls visit once per claimed [lo, hi) range. It is the
+// single claim loop behind every phase of the parallel engines.
+func forEachClaimed(cursor *atomic.Int64, total int, visit func(lo, hi int)) {
 	for {
 		hi := int(cursor.Add(frontierChunk))
 		lo := hi - frontierChunk
 		if lo >= total {
 			return
 		}
-		if hi > total {
-			hi = total
-		}
-		// Split [lo, hi) into runs that stay inside one shard.
-		s := 0
-		for cum[s+1] <= lo {
-			s++
-		}
-		for lo < hi {
-			end := hi
-			if cum[s+1] < end {
-				end = cum[s+1]
-			}
-			visit(s, lo-cum[s], end-cum[s])
-			lo = end
-			s++
-		}
+		visit(lo, min(hi, total))
 	}
 }
 
@@ -63,17 +42,12 @@ func Parallel(tr *graph.Transition, e0 *vecmath.Matrix, p Params) (*vecmath.Matr
 }
 
 // poolSize resolves the worker count of a per-run pool: p.Workers, or
-// GOMAXPROCS when unset, clamped to the graph.
+// GOMAXPROCS when unset, capped at one worker per node.
 func (p Params) poolSize(n int) int {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return clampWorkers(workers, n)
-}
-
-// clampWorkers caps a worker count at one worker per node.
-func clampWorkers(workers, n int) int {
 	if workers > n && n > 0 {
 		return n
 	}
@@ -132,13 +106,10 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 		frontier[u] = u
 	}
 	edgeOff, edgeThr, edgeStale := pushState(tr, pushTol, p.Alpha)
-	shards := make([]parShard, workers)
+	ws := make([]parWorker, workers)
 	pool := newWorkerPool(workers)
 	defer pool.close()
 	var cursor atomic.Int64
-	// Hoisted claim range for forEachClaimed: the backing array escapes to
-	// the worker closures once, not once per round.
-	var cum [2]int
 
 	r := newSweepRun(sig, tileWidths(n, cols, p.ColTile), workers, true)
 	// Bootstrap accounting: every node announces its signal to its
@@ -152,11 +123,10 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 		// advances all active columns from the previous round's values.
 		// Writes touch only next rows and resid slots of frontier nodes,
 		// reads only cur — no write conflicts.
-		cum[1] = visited
 		cursor.Store(0)
 		pool.run(func(id int) {
-			sh := &shards[id]
-			forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
+			w := &ws[id]
+			forEachClaimed(&cursor, visited, func(lo, hi int) {
 				for _, u := range frontier[lo:hi] {
 					var nodeRes float64
 					for _, t := range r.live {
@@ -165,7 +135,7 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 						nodeRes = max(nodeRes, vecmath.ResidMax(t.res[id], t.cur.Row(u), row))
 					}
 					resid[u] = nodeRes
-					sh.updates++
+					w.updates++
 				}
 			})
 		})
@@ -176,8 +146,8 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 		// replaced by one buffer swap per tile after the phase.
 		cursor.Store(0)
 		pool.run(func(id int) {
-			sh := &shards[id]
-			forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
+			w := &ws[id]
+			forEachClaimed(&cursor, visited, func(lo, hi int) {
 				for _, u := range frontier[lo:hi] {
 					if !fullRound {
 						for _, t := range r.live {
@@ -202,12 +172,12 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 							continue
 						}
 						edgeStale[base+i] = 0
-						sh.messages++
+						w.messages++
 						// Test-and-test-and-set: on dense frontiers most
 						// neighbours are already queued, and the plain load
 						// dodges the expensive CAS for them.
 						if !queued[v].Load() && queued[v].CompareAndSwap(false, true) {
-							sh.next = append(sh.next, v)
+							w.next = append(w.next, v)
 						}
 					}
 				}
@@ -218,28 +188,28 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 				t.cur, t.next = t.next, t.cur
 			}
 		}
-		for id := range shards {
-			sh := &shards[id]
-			r.st.Updates += sh.updates
-			r.st.Messages += sh.messages
-			sh.updates, sh.messages = 0, 0
+		for id := range ws {
+			w := &ws[id]
+			r.st.Updates += w.updates
+			r.st.Messages += w.messages
+			w.updates, w.messages = 0, 0
 		}
-		frontier = rebuildFrontier(shards, queued, frontier)
+		frontier = rebuildFrontier(ws, queued, frontier)
 		return visited, len(frontier) == 0
 	})
 }
 
-// rebuildFrontier drains the per-shard next-frontier lists into frontier
+// rebuildFrontier drains the per-worker next-frontier lists into frontier
 // (reusing its backing array) and clears the membership marks.
-func rebuildFrontier(shards []parShard, queued []atomic.Bool, frontier []graph.NodeID) []graph.NodeID {
+func rebuildFrontier(ws []parWorker, queued []atomic.Bool, frontier []graph.NodeID) []graph.NodeID {
 	frontier = frontier[:0]
-	for w := range shards {
-		sh := &shards[w]
-		for _, v := range sh.next {
+	for i := range ws {
+		w := &ws[i]
+		for _, v := range w.next {
 			queued[v].Store(false)
 			frontier = append(frontier, v)
 		}
-		sh.next = sh.next[:0]
+		w.next = w.next[:0]
 	}
 	return frontier
 }
@@ -269,28 +239,23 @@ func pushState(tr *graph.Transition, pushTol, alpha float64) (off []int, thr, st
 	for u := 0; u < n; u++ {
 		base := off[u]
 		for i, v := range g.Neighbors(u) {
-			thr[base+i] = pushThreshold(tr, g, u, v, pushTol, alpha)
+			thr[base+i] = math.Inf(1) // alpha == 1: no diffusion, nothing to announce
+			if d := (1 - alpha) * tr.Weight(v, u) * float64(g.Degree(v)); d > 0 {
+				thr[base+i] = pushTol / d
+			}
 		}
 	}
 	return off, thr, stale
 }
 
-// pushThreshold is the send threshold of edge (u,v) under the rule above.
-func pushThreshold(tr *graph.Transition, g *graph.Graph, u, v graph.NodeID, pushTol, alpha float64) float64 {
-	if d := (1 - alpha) * tr.Weight(v, u) * float64(g.Degree(v)); d > 0 {
-		return pushTol / d
-	}
-	return math.Inf(1) // alpha == 1: no diffusion, nothing to announce
-}
-
-// parShard is the per-worker scratch state: a private slice of next-round
+// parWorker is the per-worker scratch state: a private slice of next-round
 // frontier members plus round counters, merged by the coordinator between
 // rounds so workers never contend on shared accumulators.
-type parShard struct {
+type parWorker struct {
 	next     []graph.NodeID
 	updates  int64
 	messages int64
-	// Pad to 128 bytes (two cache lines) so adjacent shards in the slice
+	// Pad to 128 bytes (two cache lines) so adjacent workers in the slice
 	// never share a line however the allocator aligns it.
 	_ [128 - 40]byte
 }
@@ -335,7 +300,7 @@ func newWorkerPool(workers int) *workerPool {
 }
 
 // run executes fn on every worker and returns when all have finished. A
-// one-worker pool runs fn inline: the coordinator is the shard, sparing the
+// one-worker pool runs fn inline: the coordinator is the worker, sparing the
 // channel round trip per phase.
 func (p *workerPool) run(fn func(worker int)) {
 	if len(p.tasks) == 1 {

@@ -22,9 +22,7 @@ import (
 //   - AsynchronousColumns: a seeded permutation, in place;
 //   - ParallelColumns: the residual-driven frontier with its push/commit
 //     phase;
-//   - ParallelGSColumns: the color classes in fixed order, in place;
-//   - ShardedSynchronousColumns, ShardedParallelColumns: the first and
-//     third over per-shard CSRs on a shared Pool.
+//   - ParallelGSColumns: the color classes in fixed order, in place.
 //
 // The matrix-form entry points (Asynchronous, Parallel, ParallelGS) are
 // Signal runs whose columns are the embedding dimensions.
@@ -34,8 +32,8 @@ type sweepRun struct {
 	// The body raises each tile's per-worker residual slots (colTile.res)
 	// for every value it changes; drive merges and clears them.
 	live []*colTile
-	// st accumulates the run's Stats. The body adds Updates, Messages and
-	// CrossMessages; drive owns the rest. Traffic charged before the first
+	// st accumulates the run's Stats. The body adds Updates and Messages;
+	// drive owns the rest. Traffic charged before the first
 	// sweep (the frontier engines' bootstrap announcement) is set on st
 	// before drive and reaches the observer with the first sweep's delta.
 	st Stats
@@ -66,7 +64,7 @@ func (r *sweepRun) drive(p Params, thresh float64, maxSweeps int, body func() (v
 		return out, *st, nil
 	}
 	merged := make([]float64, ts.out.Cols())
-	var seenMsgs, seenCross int64 // totals already handed to the observer
+	var seenMsgs int64 // total already handed to the observer
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		r.live = ts.live(r.live)
 		visited, quiescent := body()
@@ -96,10 +94,9 @@ func (r *sweepRun) drive(p Params, thresh float64, maxSweeps int, body func() (v
 			p.Observe.ObserveSweep(SweepStat{
 				Sweep: sweep, ActiveNodes: visited, ActiveColumns: w,
 				Residual: st.Residual, ResidualL1: sumOf(cr),
-				Messages:      st.Messages - seenMsgs,
-				CrossMessages: st.CrossMessages - seenCross,
+				Messages: st.Messages - seenMsgs,
 			})
-			seenMsgs, seenCross = st.Messages, st.CrossMessages
+			seenMsgs = st.Messages
 		}
 		if quiescent {
 			ts.retireAll(sweep)

@@ -124,9 +124,9 @@ func (e *Environment) MaxPoolDocs() int { return len(e.Bench.Pool) + 1 }
 
 // sharedScores computes the per-node relevance scores one experiment
 // iteration shares across its walks: a single-query ScoreBatch on the
-// synchronous engine, which keeps every harness table bit-identical to the
-// historical FastNodeScores path while routing through the unified request
-// API.
+// synchronous engine, which keeps every harness table bit-compatible with
+// the historical ppr.PPRFilter scoring path while routing through the
+// unified request API.
 func sharedScores(net *core.Network, query []float64, alpha float64) ([]float64, error) {
 	batch, _, err := net.ScoreBatch([][]float64{query}, core.DiffusionRequest{
 		Engine: diffuse.EngineSync, Alpha: alpha,

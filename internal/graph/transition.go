@@ -172,15 +172,8 @@ func (t *Transition) ApplyRow(dst []float64, u NodeID, coeff float64, src *vecma
 		panic(fmt.Sprintf("graph: ApplyRow width mismatch dst=%d src=%d", len(dst), src.Cols()))
 	}
 	start, end := t.g.offsets[u], t.g.offsets[u+1]
-	applyRowKernel(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src)
-}
-
-// applyRowKernel is the shared accumulate loop behind Transition.ApplyRow
-// and TransitionShard.ApplyRow: the neighbor ids and weights of one CSR row
-// stream as parallel slices, so per-shard CSR copies produce bit-for-bit
-// the same sums as the full CSR (identical edge order, identical op order).
-func applyRowKernel(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix) {
-	for i, v := range nbrs {
+	ws := t.weights[start:end]
+	for i, v := range t.g.neighbors[start:end] {
 		w := coeff * ws[i]
 		row := src.Row(v)
 		// Reslicing dst to the row length lets the compiler prove d[j] in
@@ -213,10 +206,8 @@ func (t *Transition) ApplyRowAffine(dst []float64, u NodeID, coeff float64, src 
 }
 
 // applyRowAffineKernel is the portable 4-edge-unrolled Go body of
-// Transition.ApplyRowAffine and TransitionShard.ApplyRowAffine (see
-// applyRowKernel for why the row slices are shared): the fallback where no
-// SIMD kernel exists, and the reference the bit-identity test holds the
-// SIMD kernel to.
+// Transition.ApplyRowAffine: the fallback where no SIMD kernel exists, and
+// the reference the bit-identity test holds the SIMD kernel to.
 func applyRowAffineKernel(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	e := e0row[:len(dst)]
 	for j := range dst {

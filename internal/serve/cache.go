@@ -29,11 +29,10 @@ func Key(query []float64) string {
 // pattern), and distinct k values differ in the k bytes. Ranked results
 // are not cached (the LRU stores only full-vector columns), but the key
 // still partitions in-batch dedup: identical (query, k) submissions
-// coalesce into one ranked column. Class and Tenant are deliberately NOT
-// part of either key — the same query yields the same scores regardless of
-// scheduling class (sharing is correct), and tenants are isolated by
-// per-tenant Scheduler instances (see Multi), each with its own cache.
-// TestRankedKeyNeverAliases pins all of this.
+// coalesce into one ranked column. Class is deliberately NOT part of
+// either key — the same query yields the same scores regardless of
+// scheduling class, so sharing is correct. TestRankedKeyNeverAliases pins
+// all of this.
 func RankedKey(query []float64, k int) string {
 	b := make([]byte, 0, len(query)*8+9)
 	for _, x := range query {

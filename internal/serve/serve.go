@@ -40,9 +40,7 @@
 // query whose deadline expires before dispatch is shed — rejected with
 // ErrDeadlineMissed, never scored, counted in Stats.DeadlineMissed. A Bulk
 // query passed over BulkEvery times is promoted to Interactive rank, which
-// bounds starvation under sustained Interactive load. The per-tenant
-// fairness counterpart lives in Multi (weighted deficit round-robin over
-// tenant dispatches; see NewMultiFair).
+// bounds starvation under sustained Interactive load.
 package serve
 
 import (
@@ -152,7 +150,12 @@ type Config struct {
 	MaxWait time.Duration
 	// Queue bounds the submission queue (backpressure): when it is full,
 	// Submit blocks until space frees or the caller cancels. 0 means
-	// 4×MaxBatch.
+	// 4×MaxBatch. While a dispatched batch is still scoring, admitted work
+	// (that batch, the collector's carry-over window and the channel) lies
+	// in [1+Queue, max(Queue,MaxBatch)+Queue]: before dispatching MaxBatch
+	// the collector drains up to max(Queue,MaxBatch) and carries the rest,
+	// then the channel refills to Queue behind it. Where in the interval a
+	// run lands depends on how many submitters beat the collector's wake-up.
 	Queue int
 	// Cache sizes the LRU score cache (entries); 0 disables caching.
 	Cache int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -498,5 +499,156 @@ func TestSubmitAfterCloseRejectsEvenWhenCached(t *testing.T) {
 	s.Close()
 	if _, err := s.Submit(context.Background(), query); err != ErrClosed {
 		t.Fatalf("post-close cached Submit returned %v, want ErrClosed", err)
+	}
+}
+
+// constBackend scores every query with a fixed column (scaled by tag so
+// tests can tell backends' answers apart).
+type constBackend struct {
+	tag float64
+	n   int
+}
+
+func (b constBackend) ScoreBatch(queries [][]float64, req core.DiffusionRequest) ([][]float64, diffuse.Stats, error) {
+	out := make([][]float64, len(queries))
+	for j := range out {
+		col := make([]float64, b.n)
+		for i := range col {
+			col[i] = b.tag * float64(i+1)
+		}
+		out[j] = col
+	}
+	return out, diffuse.Stats{Sweeps: 1, Converged: true}, nil
+}
+
+func TestInvalidateNodesDropsOnlyTouchingColumns(t *testing.T) {
+	s, err := New(constBackend{tag: 1, n: 4}, Config{Cache: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Hand-plant columns with controlled support.
+	touchesNode2 := []float64{0, 0, 0.5, 0}
+	missesNode2 := []float64{0.7, 0, 0, 0}
+	subEps := []float64{0, 0, invalidateEps / 2, 0}
+	s.cache.putAt(s.cache.generation(), "a", touchesNode2)
+	s.cache.putAt(s.cache.generation(), "b", missesNode2)
+	s.cache.putAt(s.cache.generation(), "c", subEps)
+	if got := s.InvalidateNodes(nil); got != 0 {
+		t.Fatalf("empty id set dropped %d", got)
+	}
+	if got := s.InvalidateNodes([]int{2}); got != 1 {
+		t.Fatalf("dropped %d columns, want 1", got)
+	}
+	if _, ok := s.cache.get("a"); ok {
+		t.Fatal("column touching node 2 survived")
+	}
+	if _, ok := s.cache.get("b"); !ok {
+		t.Fatal("column missing node 2 was dropped")
+	}
+	if _, ok := s.cache.get("c"); !ok {
+		t.Fatal("sub-tolerance column was dropped")
+	}
+	// A patch that grew the graph beyond a column's length invalidates it.
+	if got := s.InvalidateNodes([]int{10}); got != 2 {
+		t.Fatalf("out-of-range patch dropped %d columns, want 2", got)
+	}
+}
+
+func TestQueueDepthStats(t *testing.T) {
+	// A slow backend lets submissions pile up so the dispatch-time
+	// occupancy (QueueMax) must exceed 1.
+	block := make(chan struct{})
+	slow := blockingBackend{release: block, n: 2}
+	s, err := New(slow, Config{MaxBatch: 2, Queue: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), []float64{float64(i)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	// Let the first dispatch start and the rest pile up, then release.
+	// Poll QueueDepth, not the channel: the collector may have drained
+	// the pile into its carry-over window already (both are queued work,
+	// and both feed the QueueMax observation this test asserts on), and
+	// a channel-length spin would never terminate in that interleaving.
+	for s.Stats().QueueDepth < 3 {
+		runtime.Gosched()
+	}
+	close(block)
+	wg.Wait()
+	st := s.Stats()
+	s.Close()
+	if st.QueueMax < 2 {
+		t.Fatalf("QueueMax %d, want ≥ 2 (piled-up queue unobserved)", st.QueueMax)
+	}
+	if st.QueueDepth != 0 {
+		t.Fatalf("QueueDepth %d after drain", st.QueueDepth)
+	}
+}
+
+// blockingBackend blocks every ScoreBatch until release closes.
+type blockingBackend struct {
+	release chan struct{}
+	n       int
+}
+
+func (b blockingBackend) ScoreBatch(queries [][]float64, req core.DiffusionRequest) ([][]float64, diffuse.Stats, error) {
+	<-b.release
+	out := make([][]float64, len(queries))
+	for j := range out {
+		out[j] = make([]float64, b.n)
+	}
+	return out, diffuse.Stats{Sweeps: 1, Converged: true}, nil
+}
+
+// TestCollectCoalescesConcurrentWaves pins the collector's idle test: with
+// a wait budget configured, waves of concurrent submitters must coalesce
+// into multi-column dispatches even when the collector wakes before the
+// whole wave has reached the queue. GOMAXPROCS is pinned to 1 with an
+// instant backend to force exactly that interleaving (the channel send
+// gives the collector wake-up priority over the wave's other submitters);
+// the pre-fix queue-emptiness idle test dispatched width-1 batches here
+// (observed mean width ~1.1 under multi-tenant load), so this asserts
+// substantially fewer dispatches than queries.
+func TestCollectCoalescesConcurrentWaves(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, err := New(constBackend{tag: 1, n: 2}, Config{
+		MaxBatch: 16, MaxWait: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const waves, clients = 4, 8
+	for w := 0; w < waves; w++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				// Distinct queries: dedup must not be what narrows widths.
+				if _, err := s.Submit(context.Background(), []float64{float64(w*clients + c)}); err != nil {
+					t.Error(err)
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+	st := s.Stats()
+	total := uint64(waves * clients)
+	if st.QueriesScored != total {
+		t.Fatalf("scored %d queries, want %d", st.QueriesScored, total)
+	}
+	if st.Batches > total/2 {
+		t.Fatalf("concurrent waves fragmented: %d dispatches for %d queries (mean width %.1f, hist %s)",
+			st.Batches, total, st.MeanBatch(), st.HistString())
 	}
 }

@@ -86,11 +86,10 @@ type Stats struct {
 	ColumnSweepsTotal uint64
 
 	// MessagesTotal sums the dispatched batches' embedding-message counts
-	// (diffuse.Stats.Messages) and CrossMessagesTotal their cross-shard
-	// subset — the paper's headline traffic metric, aggregated where the
-	// batches are dispatched so msgs/query needs no second bookkeeper.
-	MessagesTotal      uint64
-	CrossMessagesTotal uint64
+	// (diffuse.Stats.Messages) — the paper's headline traffic metric,
+	// aggregated where the batches are dispatched so msgs/query needs no
+	// second bookkeeper.
+	MessagesTotal uint64
 
 	// TasksRun counts SubmitTask closures executed on the collector
 	// (background maintenance such as walk-index segment rebuilds).
@@ -155,15 +154,6 @@ func (s Stats) MessagesPerQuery() float64 {
 	return float64(s.MessagesTotal) / float64(s.QueriesScored)
 }
 
-// CrossShare returns the cross-shard fraction of the dispatched message
-// traffic (0 for unsharded backends).
-func (s Stats) CrossShare() float64 {
-	if s.MessagesTotal == 0 {
-		return 0
-	}
-	return float64(s.CrossMessagesTotal) / float64(s.MessagesTotal)
-}
-
 // String renders a one-line summary for logs and shutdown banners.
 func (s Stats) String() string {
 	line := fmt.Sprintf(
@@ -193,9 +183,6 @@ func (s Stats) String() string {
 	}
 	if s.MessagesTotal > 0 {
 		line += fmt.Sprintf(" msgs/query=%.0f", s.MessagesPerQuery())
-		if s.CrossMessagesTotal > 0 {
-			line += fmt.Sprintf(" cross_share=%.2f", s.CrossShare())
-		}
 	}
 	return line
 }
@@ -338,7 +325,6 @@ func (m *metrics) dispatched(width, nInteractive, nBulk int, st diffuse.Stats) {
 	}
 	m.s.SweepsTotal += uint64(st.Sweeps)
 	m.s.MessagesTotal += uint64(st.Messages)
-	m.s.CrossMessagesTotal += uint64(st.CrossMessages)
 	if len(st.ColumnSweeps) > 0 {
 		for _, cs := range st.ColumnSweeps {
 			m.s.ColumnSweepsTotal += uint64(cs)

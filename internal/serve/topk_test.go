@@ -52,9 +52,8 @@ func (b *rankedStubBackend) topkCalls() (widths, ks []int) {
 // cache layers rely on: a RankedKey is 8m+9 bytes — never the multiple of
 // 8 a plain Key is — so no (query, k) submission can collide with any
 // full-vector query's bit pattern, and distinct (query, k) pairs differ.
-// It also pins the Class/Tenant audit: neither field enters either key
-// (the same query yields the same scores regardless of scheduling class,
-// and tenant isolation is per-Scheduler, not per-key).
+// It also pins the Class audit: the class enters neither key (the same
+// query yields the same scores regardless of scheduling class).
 func TestRankedKeyNeverAliases(t *testing.T) {
 	queries := [][]float64{
 		{},
@@ -90,8 +89,8 @@ func TestRankedKeyNeverAliases(t *testing.T) {
 	if RankedKey(queries[3], 10) != RankedKey(queries[3], 10) {
 		t.Fatal("RankedKey not deterministic")
 	}
-	// Class and Tenant are not key inputs: SubmitOpts has no hook into
-	// Key/RankedKey at all — both are pure functions of (query[, k]).
+	// Class is not a key input: SubmitOpts has no hook into Key/RankedKey
+	// at all — both are pure functions of (query[, k]).
 	// Behavioural half of the audit: a cached full-vector column must never
 	// answer a ranked submission for the same query.
 	b := &rankedStubBackend{}

@@ -52,7 +52,6 @@ var Paths = []Path{
 // batch fully answered from warm segments reports Sweeps == 0, so the
 // sink can split warm from cold finishes.
 type Trace struct {
-	Tenant string
 	Path   Path
 	Class  Class
 	Wait   time.Duration
@@ -62,11 +61,10 @@ type Trace struct {
 	Err    error
 }
 
-// trace hands one record to the configured sink, stamping the tenant.
-// Nil sink costs exactly this nil check per resolved query.
+// trace hands one record to the configured sink. Nil sink costs exactly
+// this nil check per resolved query.
 func (s *Scheduler) trace(t Trace) {
 	if fn := s.cfg.OnTrace; fn != nil {
-		t.Tenant = s.cfg.Request.Tenant
 		fn(t)
 	}
 }

@@ -32,12 +32,11 @@ func (ts *traceSink) byPath() map[Path][]Trace {
 
 // TestTraceAttribution drives one query through each resolution path and
 // checks every submission produced exactly one trace with the right
-// attribution, tenant stamp, and stage timings.
+// attribution and stage timings.
 func TestTraceAttribution(t *testing.T) {
 	b := &stubBackend{}
 	sink := &traceSink{}
 	cfg := Config{Cache: 8, OnTrace: sink.record}
-	cfg.Request.Tenant = "t0"
 	s, err := New(b, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,7 @@ func TestTraceAttribution(t *testing.T) {
 		t.Fatalf("scored traces: %d, want 1 (%v)", n, got)
 	}
 	sc := got[PathScored][0]
-	if sc.Tenant != "t0" || sc.Batch != 1 || sc.Sweeps != 5 || sc.Score <= 0 {
+	if sc.Batch != 1 || sc.Sweeps != 5 || sc.Score <= 0 {
 		t.Fatalf("scored trace misattributed: %+v", sc)
 	}
 	if n := len(got[PathCacheHit]); n != 1 {

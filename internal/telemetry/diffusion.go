@@ -7,11 +7,10 @@ import "diffusearch/internal/diffuse"
 // histograms (frontier size, active columns, residual mass). One
 // instance is safe to share across every engine run in the process —
 // all sinks are atomic — which is exactly how peerd wires it: a single
-// observer in the shared DiffusionRequest covers every tenant.
+// observer in the scheduler's DiffusionRequest covers every batch.
 type DiffusionMetrics struct {
 	sweeps   *Counter
 	messages *Counter
-	cross    *Counter
 	frontier *Histogram
 	columns  *Histogram
 	residual *Histogram
@@ -25,8 +24,6 @@ func NewDiffusionMetrics(r *Registry) *DiffusionMetrics {
 			"Diffusion sweeps/rounds executed, across all engine runs."),
 		messages: r.Counter("diffusearch_diffusion_messages_total",
 			"Embedding messages exchanged, summed per sweep."),
-		cross: r.Counter("diffusearch_diffusion_cross_messages_total",
-			"Cross-shard subset of the embedding messages (sharded engines only)."),
 		frontier: r.Histogram("diffusearch_diffusion_frontier_nodes",
 			"Active-frontier size per sweep.", ExpBuckets(1, 4, 10)),
 		columns: r.Histogram("diffusearch_diffusion_active_columns",
@@ -41,9 +38,6 @@ func (m *DiffusionMetrics) ObserveSweep(s diffuse.SweepStat) {
 	m.sweeps.Inc()
 	if s.Messages > 0 {
 		m.messages.Add(uint64(s.Messages))
-	}
-	if s.CrossMessages > 0 {
-		m.cross.Add(uint64(s.CrossMessages))
 	}
 	m.frontier.Observe(float64(s.ActiveNodes))
 	m.columns.Observe(float64(s.ActiveColumns))

@@ -18,7 +18,7 @@
 // sites need no setup-order coordination. A name is permanently bound to
 // its first kind; re-registering it under another kind is a programmer
 // error and panics. For series whose label values are only known at
-// scrape time (per-tenant scheduler stats, store gauges), register a
+// scrape time (scheduler stats, store gauges), register a
 // Producer callback instead of mirroring every update into the registry.
 package telemetry
 

@@ -14,7 +14,7 @@ import (
 )
 
 // hubAdversarialGraph and communityGraph are the same topologies the
-// walkindex and shard property tests use: hubs wired across the whole
+// walkindex property tests use: hubs wired across the whole
 // graph (dense reverse columns, the table store's worst case) and a
 // milder blocked topology.
 func hubAdversarialGraph(n int) *graph.Graph {

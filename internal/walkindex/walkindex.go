@@ -1,6 +1,5 @@
-// Package walkindex is the precompute tier of the scoring stack: a third
-// core.Scorer backend (alongside the single-CSR scorer and shard.Backend)
-// that turns cold diffusions into lookup+combine, in the spirit of
+// Package walkindex is the precompute tier of the scoring stack: a second
+// core.Scorer backend (alongside the single-CSR scorer) that turns cold diffusions into lookup+combine, in the spirit of
 // PowerWalk's decomposition of PPR into per-vertex random-walk segments.
 //
 // Offline, the backend diffuses unit impulses δ_v for a configured seed
@@ -736,7 +735,6 @@ func (b *Backend) DiffuseSignal(sig *diffuse.Signal, engine diffuse.Engine, p di
 		st.Sweeps = fst.Sweeps
 		st.Residual = fst.Residual
 		st.Converged = fst.Converged
-		st.CrossMessages = fst.CrossMessages
 		if err != nil {
 			return nil, st, err
 		}

@@ -15,8 +15,8 @@ import (
 	"diffusearch/internal/walkindex"
 )
 
-// hubAdversarialGraph and communityGraph are the same topologies the
-// shard property tests use: hubs wired across the whole graph (dense PPR
+// hubAdversarialGraph and communityGraph are the two property-test
+// topologies: hubs wired across the whole graph (dense PPR
 // columns, the walk index's worst storage case) and a milder blocked
 // topology.
 func hubAdversarialGraph(n int) *graph.Graph {
@@ -310,7 +310,7 @@ func TestWalkIndexDeterministic(t *testing.T) {
 }
 
 // TestWalkIndexRestoreDefault: SetScorer(nil) restores single-CSR
-// scoring bit-for-bit (the shard.Attach contract, extended here).
+// scoring bit-for-bit.
 func TestWalkIndexRestoreDefault(t *testing.T) {
 	g := communityGraph(90, 3)
 	net, queries := buildPair(t, g, 13)
