@@ -22,7 +22,6 @@ import (
 	"diffusearch/internal/randx"
 	"diffusearch/internal/retrieval"
 	"diffusearch/internal/vecmath"
-	"diffusearch/internal/walkindex"
 )
 
 var (
@@ -324,43 +323,6 @@ func BenchmarkScoreBatch64(b *testing.B) { benchmarkScoreBatch(b, 64) }
 // batch_wide rows measure. Under -benchtime 1x this doubles as the CI
 // smoke of the sweep driver's multi-tile path.
 func BenchmarkScoreBatchWide256(b *testing.B) { benchmarkScoreBatchTiled(b, 256, 64) }
-
-// BenchmarkWalkIndexWarm measures the walk-index serving path: one B=1
-// ScoreBatch per b.N step against a fully built segment store (compare
-// with BenchmarkScoreBatch1 for the cold CSR cost it replaces; the
-// full-scale speedup and its ≥4× acceptance bar live in
-// BENCH_diffuse.json via cmd/benchjson). The store build runs outside
-// the timer — and under -benchtime 1x this doubles as the CI smoke test
-// of the offline build path.
-func BenchmarkWalkIndexWarm(b *testing.B) {
-	env := benchEnvironment(b)
-	net := core.NewNetwork(env.Graph, env.Bench.Vocabulary())
-	r := randx.New(7)
-	pair := env.Bench.SamplePair(r)
-	docs := append([]retrieval.DocID{pair.Gold}, env.Bench.SamplePool(r, 499)...)
-	if err := net.PlaceDocuments(docs, core.UniformHosts(r, len(docs), env.Graph.NumNodes())); err != nil {
-		b.Fatal(err)
-	}
-	if err := net.ComputePersonalization(); err != nil {
-		b.Fatal(err)
-	}
-	indexed, err := walkindex.Attach(net, walkindex.Config{Alpha: 0.5, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := indexed.Backend().Build(); err != nil {
-		b.Fatal(err)
-	}
-	query := env.Bench.Vocabulary().Vector(pair.Query)
-	req := core.DiffusionRequest{Alpha: 0.5, Tol: 1e-6, Seed: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := net.ScoreBatch([][]float64{query}, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkRunQueryGreedyTTL50(b *testing.B) {
 	env := benchEnvironment(b)

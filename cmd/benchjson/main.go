@@ -38,22 +38,6 @@
 // p99 must improve ≥1.5× while total QPS stays within 10% (the ISSUE 5
 // acceptance bar, gated with -baseline).
 //
-// Walkindex rows measure the precomputed PPR segment store against the
-// cold CSR per-query path on the identical workload: offline build cost,
-// store bytes per node, and warm vs cold ns/query at a partial and a full
-// budget. The full-budget row carries the acceptance bar (warm ≤ 0.25×
-// cold, i.e. speedup ≥ 4×) and every row must stay within the request
-// tolerance of the exact backend.
-//
-// Topk rows measure the bidirectional certified top-k path against the
-// full-vector ScoreBatch baseline on the CSR backend at several k: the
-// reverse-push tables bound each candidate's final score, so the forward
-// diffusion stops at the first sweep whose k/(k+1) gap is certified. The
-// k=10 row carries the acceptance bar (certified top-10 ≥ 2× faster
-// ns/query than the full-vector path) and every row's returned set must
-// equal the full-vector top-k exactly (agreement 1.0 — the path is exact
-// by construction, certificate or fallback).
-//
 // Fanout rows measure bloom-filter routed query fan-out on the peernet
 // protocol harness (a deterministic count-based simulation, so the rows
 // are bit-identical across hardware): at each filter size, the routed
@@ -71,8 +55,8 @@
 //
 // With -baseline, the freshly measured snapshot is gated against a
 // committed one and the command exits non-zero when a Parallel-engine,
-// ScoreBatch, serve, priority, walkindex, topk, or fanout row regressed
-// more than -max-regress (CI's bench-regression step).
+// ScoreBatch, serve, priority, or fanout row regressed more than
+// -max-regress (CI's bench-regression step).
 //
 // Usage:
 //
@@ -160,39 +144,6 @@ type priorityResult struct {
 	PriorityBulkP99N int64   `json:"priority_bulk_p99_ns"`
 	MeanBatchFifo    float64 `json:"mean_batch_fifo"`
 	MeanBatchPri     float64 `json:"mean_batch_priority"`
-}
-
-// walkIndexResult records one walk-index store budget: what the
-// precomputed segments cost to build and hold, and the warm-vs-cold
-// per-query speedup they buy at that budget (expt.WalkIndexRow, frozen
-// for the snapshot).
-type walkIndexResult struct {
-	BudgetFrac     float64 `json:"budget_frac"`
-	BudgetBytes    int64   `json:"budget_bytes"` // 0 = unbounded
-	StoreBytes     int64   `json:"store_bytes"`
-	BytesPerNode   float64 `json:"bytes_per_node"`
-	Coverage       float64 `json:"coverage"`
-	BuildNs        int64   `json:"build_ns"`
-	ColdNsPerQuery int64   `json:"cold_ns_per_query"`
-	WarmNsPerQuery int64   `json:"warm_ns_per_query"`
-	Speedup        float64 `json:"speedup"`
-	MaxErrVsCSR    float64 `json:"max_err_vs_csr"`
-}
-
-// topKResult records one k of the bidirectional top-k sweep on the
-// Parallel engine: ns/query of the certified ranked path vs the
-// full-vector ScoreBatch baseline on the same queries, the certificate
-// hit rate, and the exactness check (expt.TopKRow, frozen for the
-// snapshot).
-type topKResult struct {
-	K              int     `json:"k"`
-	FullNsPerQuery int64   `json:"full_ns_per_query"`
-	TopKNsPerQuery int64   `json:"topk_ns_per_query"`
-	Speedup        float64 `json:"speedup"`
-	FullMsgsPerQ   float64 `json:"full_msgs_per_query"`
-	TopKMsgsPerQ   float64 `json:"topk_msgs_per_query"`
-	Certified      float64 `json:"certified"`
-	Agreement      float64 `json:"agreement"`
 }
 
 // batchWideResult records one wide-batch width of the column-plan
@@ -303,14 +254,6 @@ type snapshot struct {
 	// Priority records the deadline-aware scheduling rows; every row
 	// carries the ≥1.5× interactive-p99-vs-FIFO acceptance number.
 	Priority []priorityResult `json:"priority"`
-	// WalkIndex records the segment-store rows; the full-coverage row
-	// carries the ≥4× warm-vs-cold acceptance number, and every row's
-	// error vs the exact CSR backend must stay within Tol.
-	WalkIndex []walkIndexResult `json:"walkindex"`
-	// TopK records the bidirectional certified top-k rows; the k=10 row
-	// carries the ≥2×-vs-full-vector acceptance number, and every row's
-	// agreement with the exact full-vector top-k must be 1.0.
-	TopK []topKResult `json:"topk"`
 	// Fanout records the bloom-routed query fan-out rows; the
 	// fanoutAcceptanceBits row carries the ≤0.7× messages/query and
 	// recall-ratio ≥1.0 acceptance numbers.
@@ -737,64 +680,6 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		snap.Priority = append(snap.Priority, pr)
 	}
 
-	// Walk-index rows: the segment store vs the cold CSR per-query path at
-	// a partial and a full budget. The full-budget speedup is the ISSUE-6
-	// acceptance number (warm ≤ 0.25× cold).
-	wiRows, err := expt.WalkIndexSweep(env, expt.WalkIndexConfig{
-		M: numDocs, Alpha: alpha, Tol: tol, Workers: workers, Seed: seed,
-		BudgetFracs: []float64{0.25, 1},
-	})
-	if err != nil {
-		return fmt.Errorf("walkindex sweep: %w", err)
-	}
-	for _, row := range wiRows {
-		wr := walkIndexResult{
-			BudgetFrac:     row.BudgetFrac,
-			BudgetBytes:    row.BudgetBytes,
-			StoreBytes:     row.StoreBytes,
-			BytesPerNode:   row.BytesPerNode,
-			Coverage:       row.Coverage,
-			BuildNs:        row.BuildNs,
-			ColdNsPerQuery: row.ColdNsPerQuery,
-			WarmNsPerQuery: row.WarmNsPerQuery,
-			Speedup:        row.Speedup,
-			MaxErrVsCSR:    row.MaxErr,
-		}
-		fmt.Printf("walkindex-%.2f %10d ns/query warm (cold %d, speedup %.2fx) coverage=%.2f %.0f B/node build=%dms err=%.1e\n",
-			wr.BudgetFrac, wr.WarmNsPerQuery, wr.ColdNsPerQuery, wr.Speedup,
-			wr.Coverage, wr.BytesPerNode, wr.BuildNs/1e6, wr.MaxErrVsCSR)
-		snap.WalkIndex = append(snap.WalkIndex, wr)
-	}
-
-	// Topk rows: the bidirectional certified ranked path vs the
-	// full-vector ScoreBatch baseline on the CSR backend. The k=10
-	// speedup is the ISSUE-7 acceptance number, and agreement must be
-	// exactly 1.0 on every row (the path is exact, certificate or not).
-	topkRows, err := expt.TopKSweep(env, expt.TopKConfig{
-		M: numDocs, Alpha: alpha, Tol: tol, Workers: workers, Seed: seed,
-		Engines: []diffuse.Engine{diffuse.EngineParallel},
-		Ks:      []int{1, 10, 25},
-	})
-	if err != nil {
-		return fmt.Errorf("topk sweep: %w", err)
-	}
-	for _, row := range topkRows {
-		tr := topKResult{
-			K:              row.K,
-			FullNsPerQuery: row.FullNsPerQuery,
-			TopKNsPerQuery: row.TopKNsPerQuery,
-			Speedup:        row.Speedup,
-			FullMsgsPerQ:   row.FullMsgsPerQ,
-			TopKMsgsPerQ:   row.TopKMsgsPerQ,
-			Certified:      row.Certified,
-			Agreement:      row.Agreement,
-		}
-		fmt.Printf("topk-%-5d %12d ns/query (full %d, speedup %.2fx) certified=%.2f agree=%.2f msgs/q %.0f vs %.0f\n",
-			tr.K, tr.TopKNsPerQuery, tr.FullNsPerQuery, tr.Speedup,
-			tr.Certified, tr.Agreement, tr.TopKMsgsPerQ, tr.FullMsgsPerQ)
-		snap.TopK = append(snap.TopK, tr)
-	}
-
 	// Fanout rows: the bloom-routed walk vs the unrouted greedy walk on the
 	// deterministic protocol harness (counts, not timings — bit-reproducible
 	// in the seed). The bits=1024 row carries the ISSUE-10 acceptance
@@ -1022,66 +907,6 @@ func checkRegression(baselinePath string, fresh snapshot, maxRegress float64) er
 				pr.Clients, pr.IntP99Gain, b.IntP99Gain))
 		}
 	}
-	// Walk-index rows carry two absolute bars on top of the regression
-	// comparison: the full-coverage row's warm-vs-cold speedup must reach
-	// 4× (warm ≤ 0.25× cold — a within-run ratio, both sides measured
-	// back-to-back, so it transfers across hardware), and every row's
-	// error vs the exact CSR backend must stay within the snapshot's
-	// request tolerance (the correctness half of the contract: budgets cost
-	// speed, never accuracy). Rows absent from the baseline (first
-	// snapshot after the index landed) still face the absolute bars.
-	const minWalkIndexSpeedup = 4.0
-	baseWalk := make(map[float64]walkIndexResult, len(base.WalkIndex))
-	for _, wr := range base.WalkIndex {
-		baseWalk[wr.BudgetFrac] = wr
-	}
-	for _, wr := range fresh.WalkIndex {
-		if wr.Coverage >= 1 && wr.Speedup < minWalkIndexSpeedup {
-			problems = append(problems, fmt.Sprintf("walkindex frac=%.2f: warm speedup %.2fx vs cold, want ≥ %.1fx at full coverage",
-				wr.BudgetFrac, wr.Speedup, minWalkIndexSpeedup))
-		}
-		if fresh.Tol > 0 && wr.MaxErrVsCSR > fresh.Tol {
-			problems = append(problems, fmt.Sprintf("walkindex frac=%.2f: max error %.1e vs CSR beyond tol %.1e",
-				wr.BudgetFrac, wr.MaxErrVsCSR, fresh.Tol))
-		}
-		if b, ok := baseWalk[wr.BudgetFrac]; ok && b.Speedup > 0 &&
-			wr.Coverage >= 1 && wr.Speedup < b.Speedup*(1-maxRegress) {
-			problems = append(problems, fmt.Sprintf("walkindex frac=%.2f: warm speedup %.2fx vs baseline %.2fx",
-				wr.BudgetFrac, wr.Speedup, b.Speedup))
-		}
-	}
-	// Topk rows carry two absolute bars on top of the regression
-	// comparison: agreement with the exact full-vector top-k must be 1.0
-	// on every row (the ranked contract — certified early stop or
-	// full-convergence fallback, never an approximation), and the k=10
-	// row's certified path must run ≥2× faster per query than the
-	// full-vector baseline (a within-run ratio, both sides measured
-	// back-to-back, so it transfers across hardware). Rows absent from
-	// the baseline (first snapshot after the ranked path landed) still
-	// face the absolute bars.
-	const (
-		topKAcceptanceK  = 10
-		minTopKSpeedup   = 2.0
-		minTopKAgreement = 1.0
-	)
-	baseTopK := make(map[int]topKResult, len(base.TopK))
-	for _, tr := range base.TopK {
-		baseTopK[tr.K] = tr
-	}
-	for _, tr := range fresh.TopK {
-		if tr.Agreement < minTopKAgreement {
-			problems = append(problems, fmt.Sprintf("topk k=%d: agreement %.3f with the full-vector top-k, want exactly 1.0",
-				tr.K, tr.Agreement))
-		}
-		if tr.K == topKAcceptanceK && tr.Speedup < minTopKSpeedup {
-			problems = append(problems, fmt.Sprintf("topk k=%d: speedup %.2fx vs full-vector ScoreBatch, want ≥ %.1fx",
-				tr.K, tr.Speedup, minTopKSpeedup))
-		}
-		if b, ok := baseTopK[tr.K]; ok && b.Speedup > 0 && tr.Speedup < b.Speedup*(1-maxRegress) {
-			problems = append(problems, fmt.Sprintf("topk k=%d: speedup %.2fx vs baseline %.2fx",
-				tr.K, tr.Speedup, b.Speedup))
-		}
-	}
 	// Fanout rows carry two absolute bars on top of the regression
 	// comparison: at the deployment default filter size the routed walk must
 	// spend ≤0.7× the unrouted walk's messages/query, and it must find the
@@ -1128,7 +953,7 @@ func checkRegression(baselinePath string, fresh snapshot, maxRegress float64) er
 		}
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("gated benchmark rows (parallel engine / scorebatch / batch_wide / gs / serve / priority / walkindex / topk / fanout / telemetry) regressed beyond %.0f%% of %s:\n  %s",
+		return fmt.Errorf("gated benchmark rows (parallel engine / scorebatch / batch_wide / gs / serve / priority / fanout / telemetry) regressed beyond %.0f%% of %s:\n  %s",
 			maxRegress*100, baselinePath, strings.Join(problems, "\n  "))
 	}
 	mode := "ratio checks only — baseline hardware differs"

@@ -1,12 +1,10 @@
 // Command dfsearch runs one end-to-end decentralized search demo: generate
 // the network and corpus, place documents, diffuse embeddings with the
-// selected PPR engine, then walk a query and print the trace. With
-// -topk N the demo also answers the query through the bidirectional
-// certified top-k path and prints the ranked document hosts.
+// selected PPR engine, then walk a query and print the trace.
 //
 // Usage:
 //
-//	dfsearch -nodes 1000 -docs 500 -alpha 0.5 -ttl 50 -seed 42 -engine parallel -topk 5
+//	dfsearch -nodes 1000 -docs 500 -alpha 0.5 -ttl 50 -seed 42 -engine parallel
 package main
 
 import (
@@ -28,16 +26,15 @@ func main() {
 		k       = flag.Int("k", 3, "tracked results per query")
 		engine  = flag.String("engine", "parallel", "diffusion engine: async|parallel|sync|gs")
 		workers = flag.Int("workers", 0, "parallel engine pool size (0 = GOMAXPROCS)")
-		topk    = flag.Int("topk", 0, "also rank the top N document hosts through the certified top-k path (0 disables)")
 	)
 	flag.Parse()
-	if err := run(*nodes, *docs, *alpha, *ttl, *seed, *k, *engine, *workers, *topk); err != nil {
+	if err := run(*nodes, *docs, *alpha, *ttl, *seed, *k, *engine, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "dfsearch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(nodes, docs int, alpha float64, ttl int, seed uint64, k int, engine string, workers, topk int) error {
+func run(nodes, docs int, alpha float64, ttl int, seed uint64, k int, engine string, workers int) error {
 	eng, err := diffusearch.ParseEngine(engine)
 	if err != nil {
 		return err
@@ -78,29 +75,6 @@ func run(nodes, docs int, alpha float64, ttl int, seed uint64, k int, engine str
 	query := env.Bench.Vocabulary().Vector(pair.Query)
 	fmt.Printf("query %q, gold document %q stored at node %d\n",
 		env.Bench.Vocabulary().Word(pair.Query), env.Bench.Vocabulary().Word(pair.Gold), goldHost)
-
-	if topk > 0 {
-		if _, err := diffusearch.AttachTopK(net, diffusearch.TopKConfig{
-			Alpha: alpha, Engine: eng, Workers: workers, Seed: seed,
-		}); err != nil {
-			return err
-		}
-		res, rst, err := net.ScoreBatchTopK([][]float64{query}, diffusearch.DiffusionRequest{
-			Engine: eng, Alpha: alpha, Workers: workers, Seed: seed, TopK: topk,
-		})
-		if err != nil {
-			return err
-		}
-		mode := "fully converged"
-		if res[0].Certified {
-			mode = "certified early stop"
-		}
-		fmt.Printf("top-%d document hosts (%s, %d sweeps):", topk, mode, rst.Sweeps)
-		for i, id := range res[0].IDs {
-			fmt.Printf(" %d(%.4f)", id, res[0].Scores[i])
-		}
-		fmt.Println()
-	}
 
 	// Walk from several distances away from the gold host.
 	groups := g.NodesAtDistance(goldHost, 5)

@@ -7,7 +7,6 @@
 //	experiments -exp table1               # Table I (hop counts)
 //	experiments -exp all                  # everything below
 //	experiments -exp parallel|recall|placement|summary|visited|baselines|norm|serve
-//	experiments -exp topk                 # bidirectional certified top-k vs full vector
 //	experiments -quick                    # scaled-down environment & iterations
 //	experiments -seed 7 -iters 200 -csv   # tuning & CSV output
 package main
@@ -27,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|priority|walkindex|topk|fanout|all")
+		exp   = flag.String("exp", "all", "experiment: fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|priority|fanout|all")
 		seed  = flag.Uint64("seed", 42, "master seed (all results are deterministic in it)")
 		quick = flag.Bool("quick", false, "scaled-down environment and iteration counts")
 		iters = flag.Int("iters", 0, "override iteration count (0 = experiment default)")
@@ -69,7 +68,6 @@ func run(exp string, seed uint64, quick bool, iters int, csv bool) error {
 		"table1":    r.table1,
 		"parallel":  r.parallel,
 		"recall":    r.recall,
-		"topk":      r.topk,
 		"placement": r.placement,
 		"summary":   r.summary,
 		"visited":   r.visited,
@@ -79,11 +77,10 @@ func run(exp string, seed uint64, quick bool, iters int, csv bool) error {
 		"batch":     r.batch,
 		"serve":     r.serve,
 		"priority":  r.priority,
-		"walkindex": r.walkindex,
 		"fanout":    r.fanout,
 	}
 	if exp == "all" {
-		for _, name := range []string{"fig3", "table1", "parallel", "recall", "placement", "summary", "visited", "baselines", "norm", "diffusion", "batch", "serve", "priority", "walkindex", "topk", "fanout"} {
+		for _, name := range []string{"fig3", "table1", "parallel", "recall", "placement", "summary", "visited", "baselines", "norm", "diffusion", "batch", "serve", "priority", "fanout"} {
 			if err := known[name](); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -193,9 +190,8 @@ func (r *runner) parallel() error {
 	return nil
 }
 
-// recall was named topk before the bidirectional scoring path took that
-// name: it measures the decentralized walk's recall against the
-// centralized engine, not the ranked serving path.
+// recall measures the decentralized walk's top-k recall against the
+// centralized engine.
 func (r *runner) recall() error {
 	rows, err := expt.RecallAtK(r.env, expt.RecallConfig{
 		M: 1000, Alpha: 0.5, Ks: []int{1, 5, 10}, TTL: 50,
@@ -205,25 +201,6 @@ func (r *runner) recall() error {
 		return err
 	}
 	r.emit("abl-recall — top-k recall vs centralized engine (M=1000, α=0.5)", expt.FormatRecall(rows))
-	return nil
-}
-
-func (r *runner) topk() error {
-	start := time.Now()
-	cfg := expt.TopKConfig{
-		M: 1000, Alpha: 0.5, Seed: r.seed,
-		Queries: r.itersOr(16, 6),
-	}
-	if r.quick {
-		cfg.Iters = 2
-		cfg.Ks = []int{1, 10}
-	}
-	rows, err := expt.TopKSweep(r.env, cfg)
-	if err != nil {
-		return err
-	}
-	r.emit(fmt.Sprintf("topk — bidirectional certified top-k vs full-vector ScoreBatch (M=1000, α=0.5, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatTopK(rows))
 	return nil
 }
 
@@ -331,24 +308,6 @@ func (r *runner) priority() error {
 	}
 	r.emit(fmt.Sprintf("priority — deadline-aware classes vs FIFO coalescing under mixed 90/10 load (M=1000, α=0.5, %v)",
 		time.Since(start).Round(time.Millisecond)), expt.FormatPriority(rows))
-	return nil
-}
-
-func (r *runner) walkindex() error {
-	start := time.Now()
-	cfg := expt.WalkIndexConfig{
-		M: 500, Alpha: 0.5, Seed: r.seed,
-		Queries: r.itersOr(16, 6),
-	}
-	if r.quick {
-		cfg.Iters = 2
-	}
-	rows, err := expt.WalkIndexSweep(r.env, cfg)
-	if err != nil {
-		return err
-	}
-	r.emit(fmt.Sprintf("walkindex — precomputed PPR segment store: budget vs speedup vs accuracy (M=500, α=0.5, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatWalkIndex(rows))
 	return nil
 }
 

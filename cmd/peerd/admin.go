@@ -54,12 +54,9 @@ func (a *adminTelemetry) observer() diffuse.Observer {
 const traceWindow = 1024
 
 // sink builds the scheduler's serve.Config.OnTrace hook: per-path
-// resolution counters, wait/score latency quantile windows, and — when the
-// mirror scores through the walk index — warm/cold finish attribution (a
-// scored batch reporting zero sweeps was answered entirely from
-// precomputed segments; any residual finish diffuses at least one). Every
+// resolution counters and wait/score latency quantile windows. Every
 // series carries the constant tenant="local" label.
-func (a *adminTelemetry) sink(walkindexBacked bool) func(serve.Trace) {
+func (a *adminTelemetry) sink() func(serve.Trace) {
 	if a == nil {
 		return nil
 	}
@@ -75,16 +72,6 @@ func (a *adminTelemetry) sink(walkindexBacked bool) func(serve.Trace) {
 	score := a.reg.Window("diffusearch_serve_score_seconds",
 		"Backend scoring time of the batch each query rode.",
 		traceWindow, "tenant", localTenant)
-	var warm, cold *telemetry.Counter
-	if walkindexBacked {
-		const help = "Scored batches by walk-index finish kind: warm " +
-			"batches were answered entirely from precomputed segments " +
-			"(zero diffusion sweeps), cold ones needed a residual finish."
-		warm = a.reg.Counter("diffusearch_walkindex_finishes_total", help,
-			"tenant", localTenant, "kind", "warm")
-		cold = a.reg.Counter("diffusearch_walkindex_finishes_total", help,
-			"tenant", localTenant, "kind", "cold")
-	}
 	return func(t serve.Trace) {
 		if c := paths[t.Path]; c != nil {
 			c.Inc()
@@ -94,13 +81,6 @@ func (a *adminTelemetry) sink(walkindexBacked bool) func(serve.Trace) {
 		}
 		if t.Score > 0 {
 			score.Observe(t.Score.Seconds())
-		}
-		if warm != nil && t.Path == serve.PathScored {
-			if t.Sweeps == 0 {
-				warm.Inc()
-			} else {
-				cold.Inc()
-			}
 		}
 	}
 }
@@ -136,52 +116,12 @@ func (a *adminTelemetry) registerPeer(peer *peernet.Peer) {
 	})
 }
 
-// registerScorer exposes the serving-side gauges: scheduler state and the
-// memory-bounded stores (walk index and reverse top-k tables). All of them
-// are owned by the scorer and sampled at scrape time, so the hot path pays
+// registerScorer exposes the scheduler's gauges and counters. They are
+// owned by the scorer and sampled at scrape time, so the hot path pays
 // nothing for them.
 func (a *adminTelemetry) registerScorer(s *queryScorer) {
 	if a == nil || s == nil {
 		return
-	}
-	if s.wix != nil {
-		a.reg.GaugeFunc("diffusearch_walkindex_store_bytes",
-			"Walk-index segment store payload size.",
-			func() float64 { return float64(s.wix.StoreBytes()) })
-		a.reg.GaugeFunc("diffusearch_walkindex_coverage",
-			"Built fraction of the walk-index seed set in [0,1].",
-			s.wix.Coverage)
-		a.reg.GaugeFunc("diffusearch_walkindex_segments",
-			"Built walk-index segments.",
-			func() float64 { return float64(s.wix.Segments()) })
-		a.reg.GaugeFunc("diffusearch_walkindex_poisoned_segments",
-			"Built segments whose error certificate a topology patch "+
-				"poisoned; persistently non-zero means rebuilds lag patches.",
-			func() float64 { return float64(s.wix.Poisoned()) })
-		a.reg.GaugeFunc("diffusearch_walkindex_saturated",
-			"1 when the store is pinned at its byte budget with seeds "+
-				"still unbuilt, 0 otherwise.",
-			func() float64 {
-				if s.wix.Saturated() {
-					return 1
-				}
-				return 0
-			})
-	}
-	if s.tk != nil {
-		a.reg.GaugeFunc("diffusearch_topk_tables",
-			"Built reverse-push top-k tables.",
-			func() float64 { return float64(s.tk.Tables()) })
-		a.reg.GaugeFunc("diffusearch_topk_candidates",
-			"Candidate set size of the certified top-k ranker.",
-			func() float64 { return float64(len(s.tk.Candidates())) })
-		a.reg.GaugeFunc("diffusearch_topk_store_bytes",
-			"Reverse-table store payload size.",
-			func() float64 { return float64(s.tk.StoreBytes()) })
-		a.reg.GaugeFunc("diffusearch_topk_poisoned_tables",
-			"Reverse tables running without early-stop certificates "+
-				"after a topology patch.",
-			func() float64 { return float64(s.tk.Poisoned()) })
 	}
 	a.reg.Producer(func(e *telemetry.Emitter) {
 		st := s.sched.Stats()
@@ -210,24 +150,6 @@ type statusSnapshot struct {
 	Messages   int64                  `json:"messages_sent"`
 	Schedulers map[string]serve.Stats `json:"schedulers,omitempty"`
 	Filter     *peernet.FilterStats   `json:"filter,omitempty"`
-	WalkIndex  *walkIndexStatus       `json:"walkindex,omitempty"`
-	TopK       *topKStatus            `json:"topk,omitempty"`
-}
-
-type walkIndexStatus struct {
-	Segments   int     `json:"segments"`
-	Seeds      int     `json:"seeds"`
-	Coverage   float64 `json:"coverage"`
-	StoreBytes int64   `json:"store_bytes"`
-	Poisoned   int     `json:"poisoned"`
-	Saturated  bool    `json:"saturated"`
-}
-
-type topKStatus struct {
-	Tables     int   `json:"tables"`
-	Candidates int   `json:"candidates"`
-	StoreBytes int64 `json:"store_bytes"`
-	Poisoned   int   `json:"poisoned"`
 }
 
 // statusSource binds the live objects a snapshot reads from. scorer is
@@ -250,29 +172,14 @@ func (src statusSource) snapshot() statusSnapshot {
 	if fs := src.peer.FilterStats(); fs.Enabled {
 		sn.Filter = &fs
 	}
-	s := src.scorer
-	if s == nil {
-		return sn
-	}
-	sn.Schedulers = map[string]serve.Stats{localTenant: s.sched.Stats()}
-	if s.wix != nil {
-		sn.WalkIndex = &walkIndexStatus{
-			Segments: s.wix.Segments(), Seeds: s.wix.SeedCount(),
-			Coverage: s.wix.Coverage(), StoreBytes: s.wix.StoreBytes(),
-			Poisoned: s.wix.Poisoned(), Saturated: s.wix.Saturated(),
-		}
-	}
-	if s.tk != nil {
-		sn.TopK = &topKStatus{
-			Tables: s.tk.Tables(), Candidates: len(s.tk.Candidates()),
-			StoreBytes: s.tk.StoreBytes(), Poisoned: s.tk.Poisoned(),
-		}
+	if s := src.scorer; s != nil {
+		sn.Schedulers = map[string]serve.Stats{localTenant: s.sched.Stats()}
 	}
 	return sn
 }
 
 // text renders the snapshot for logs: one header line plus one line per
-// scheduler and store.
+// scheduler and the routing filter.
 func (sn statusSnapshot) text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "peer %d up %s: %d diffusion updates, %d messages sent\n",
@@ -284,25 +191,6 @@ func (sn statusSnapshot) text() string {
 	if f := sn.Filter; f != nil {
 		fmt.Fprintf(&b, "filter: %d bits × %d hashes, %.0f%% full, %d neighbours cached (%d stale), routed %d hits / %d fallbacks / %d early stops\n",
 			f.Bits, f.Hashes, 100*f.Fill, f.Cached, f.Stale, f.Hits, f.Misses, f.Stops)
-	}
-	if w := sn.WalkIndex; w != nil {
-		fmt.Fprintf(&b, "walkindex: %d/%d segments (%.0f%% coverage), %d bytes",
-			w.Segments, w.Seeds, 100*w.Coverage, w.StoreBytes)
-		if w.Poisoned > 0 {
-			fmt.Fprintf(&b, ", %d poisoned", w.Poisoned)
-		}
-		if w.Saturated {
-			b.WriteString(", saturated")
-		}
-		b.WriteByte('\n')
-	}
-	if t := sn.TopK; t != nil {
-		fmt.Fprintf(&b, "topk: %d/%d reverse tables, %d bytes",
-			t.Tables, t.Candidates, t.StoreBytes)
-		if t.Poisoned > 0 {
-			fmt.Fprintf(&b, ", %d poisoned", t.Poisoned)
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -48,27 +48,6 @@
 // and -deadline attaches a dispatch deadline to every submission — a query
 // the scheduler cannot dispatch in time is shed, never scored.
 //
-// With -scorer walkindex the local mirror scores through a precomputed
-// walk index instead: the leading terms of each document host's PPR
-// column are built in the background (Bulk-class tasks riding the same
-// scheduler) and combined per query, with a small residual diffusion
-// finishing whatever the store cannot answer — scores match the plain
-// CSR backend within the request tolerance even while the index is
-// partial or stale. -index-budget bounds the store's bytes; on SIGHUP
-// only segments in the patch's closed neighbourhood are dropped and
-// rebuilt.
-//
-// With -topk N the local mirror additionally serves certified top-k
-// rankings through the bidirectional scoring path: reverse-push tables
-// from the document-host candidate set bound each candidate's final score
-// during the forward diffusion, so the ranking is certified (provably
-// equal to the full-vector top-k) as soon as the k/(k+1) gap exceeds the
-// remaining residual mass — usually sweeps before full convergence. The
-// -query/-batch paths then print the certified host ranking next to the
-// decentralized walk's results. Rankings stay exact across SIGHUP: the
-// reverse tables invalidate through the same changed-closure contract as
-// the walk index.
-//
 // A long-running peer follows topology changes without restarting: SIGHUP
 // reloads the -topology file, patches the scorer's mirror Network (joined
 // and departed peers), invalidates the serve cache — targeted when the
@@ -99,8 +78,6 @@ import (
 	"diffusearch/internal/peernet"
 	"diffusearch/internal/retrieval"
 	"diffusearch/internal/serve"
-	"diffusearch/internal/topk"
-	"diffusearch/internal/walkindex"
 )
 
 func main() {
@@ -115,12 +92,9 @@ func main() {
 		batch    = flag.String("batch", "", "issue a batch of comma-separated words (e.g. w12,w7) and exit; with -engine, the batch is scored in one diffusion first")
 		engine   = flag.String("engine", "", "serve queries through the request API on this engine (async|parallel|sync|gs); empty keeps gossip-cache scoring")
 		workers  = flag.Int("workers", 0, "parallel engine pool size (0 = GOMAXPROCS)")
-		scorer   = flag.String("scorer", "", "scoring backend for the local mirror: csr or walkindex (precomputed per-document PPR segments; needs -engine)")
-		indexBgt = flag.Int64("index-budget", 0, "walk-index store budget in bytes (0 = 64MiB default, negative = unbounded; needs -scorer walkindex)")
 		maxWait  = flag.Duration("maxwait", 2*time.Millisecond, "scheduler coalescing budget: how long a query may wait for batch co-riders (0 = zero-wait)")
 		maxBatch = flag.Int("maxbatch", 64, "scheduler batch-width cap for coalesced diffusions")
 		cache    = flag.Int("cache", 512, "scheduler LRU score-cache entries (0 disables)")
-		topkN    = flag.Int("topk", 0, "serve certified top-k rankings through the bidirectional scoring path and print them for -query/-batch (0 disables; needs -engine)")
 		class    = flag.String("class", "interactive", "scheduling class for this peer's request-API submissions: interactive (jump the coalesce window) or bulk (wait up to 4×maxwait to widen batches)")
 		deadline = flag.Duration("deadline", 0, "per-query dispatch deadline for request-API submissions; queries not dispatched in time are shed, never scored (0 = none)")
 		admin    = flag.String("admin", "", "serve the admin endpoint (/metrics, /statusz, /healthz, /debug/pprof) on this address, e.g. :9090 (empty disables)")
@@ -138,8 +112,7 @@ func main() {
 		words: *words, dim: *dim, query: *query, batch: *batch,
 		engine: *engine, workers: *workers, ttl: *ttl, k: *k, wait: *wait,
 		maxWait: *maxWait, maxBatch: *maxBatch, cache: *cache,
-		scorer: *scorer, indexBudget: *indexBgt,
-		class: *class, deadline: *deadline, topk: *topkN,
+		class: *class, deadline: *deadline,
 		admin: *admin, statsEvery: *statsEv,
 		filterBits: *fBits, filterHashes: *fHashes, queryKeys: *qKeys,
 	}
@@ -150,29 +123,26 @@ func main() {
 }
 
 type runConfig struct {
-	topoPath    string
-	id          int
-	alpha       float64
-	seed        uint64
-	words       int
-	dim         int
-	query       string
-	batch       string
-	engine      string
-	workers     int
-	ttl         int
-	k           int
-	wait        time.Duration
-	maxWait     time.Duration
-	maxBatch    int
-	cache       int
-	scorer      string
-	indexBudget int64
-	class       string
-	deadline    time.Duration
-	topk        int
-	admin       string
-	statsEvery  time.Duration
+	topoPath   string
+	id         int
+	alpha      float64
+	seed       uint64
+	words      int
+	dim        int
+	query      string
+	batch      string
+	engine     string
+	workers    int
+	ttl        int
+	k          int
+	wait       time.Duration
+	maxWait    time.Duration
+	maxBatch   int
+	cache      int
+	class      string
+	deadline   time.Duration
+	admin      string
+	statsEvery time.Duration
 
 	filterBits   int
 	filterHashes int
@@ -206,18 +176,6 @@ type queryScorer struct {
 	sched *serve.Scheduler
 	cfg   scorerConfig
 
-	// wix and refresher exist only with -scorer walkindex: the local
-	// mirror's diffusions are then answered from precomputed per-document
-	// PPR segments (plus an exact residual finish), and the refresher
-	// rebuilds missing segments as Bulk tasks on the scheduler.
-	wix       *walkindex.Backend
-	refresher *walkindex.Refresher
-
-	// tk exists only with -topk: the local mirror's ranker, answering
-	// SubmitRanked queries with certified top-k host rankings through the
-	// bidirectional (reverse-push + early-stopped forward) path.
-	tk *topk.Backend
-
 	mu    sync.RWMutex
 	net   *core.Network    // local topology mirror; swapped whole on Patch
 	specs map[int]peerSpec // specs the mirror was built from (patch diffs)
@@ -237,18 +195,11 @@ type scorerConfig struct {
 	maxWait  time.Duration
 	maxBatch int
 	cache    int
-	// scorer picks the local mirror's backend; indexBudget bounds the
-	// walk-index segment store (see walkindex.Config.Budget).
-	scorer      core.ScorerKind
-	indexBudget int64
 	// class and deadline are this connection's submission defaults: every
 	// Score call is tagged with the class, and given a dispatch deadline of
 	// now+deadline when non-zero (see serve.SubmitOpts).
 	class    serve.Class
 	deadline time.Duration
-	// topk > 0 attaches the bidirectional ranker to the local mirror and
-	// prints certified top-k host rankings for issued queries.
-	topk int
 	// tel, when non-nil, instruments the scorer: its diffusion observer
 	// rides every dispatched batch and the scheduler gets a trace sink.
 	// Nil (the default, and every test's) keeps the hot path identical to
@@ -273,59 +224,16 @@ func newQueryScorer(specs map[int]peerSpec, vocab *embed.Vocabulary, cfg scorerC
 		cfg:   cfg,
 		specs: specs,
 	}
-	if s.net, err = s.buildLocalMirror(specs); err != nil {
+	if s.net, err = buildMirror(specs, vocab); err != nil {
 		return nil, err
 	}
-	// buildLocalMirror already ran, so the sink knows whether the mirror
-	// scores through the walk index (warm/cold finish attribution).
 	if s.sched, err = serve.New(s, serve.Config{
 		Request: s.req, MaxWait: cfg.maxWait, MaxBatch: cfg.maxBatch, Cache: cfg.cache,
-		OnTrace: cfg.tel.sink(s.wix != nil),
+		OnTrace: cfg.tel.sink(),
 	}); err != nil {
 		return nil, err
 	}
-	// The walk index starts empty; the refresher fills it (and re-fills it
-	// after SIGHUP patches) as Bulk tasks riding the scheduler, so
-	// index builds coalesce with live traffic instead of competing with it.
-	// Queries served before coverage completes are still exact — the
-	// backend finishes whatever the store cannot answer with a residual
-	// diffusion.
-	if s.wix != nil {
-		s.refresher = walkindex.NewRefresher(s.wix, s.sched, walkindex.RefreshConfig{})
-		s.refresher.Start()
-	}
 	return s, nil
-}
-
-// buildLocalMirror builds the mirror and attaches the backends the flags
-// ask for: -scorer walkindex installs the segment-store backend, and -topk
-// the bidirectional ranker (which rides any scorer: rankings always
-// diffuse the full CSR forward, whatever backend answers full-vector
-// queries).
-func (s *queryScorer) buildLocalMirror(specs map[int]peerSpec) (*core.Network, error) {
-	net, err := buildMirror(specs, s.vocab)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.scorer == core.ScorerWalkIndex {
-		in, err := walkindex.Attach(net, walkindex.Config{
-			Alpha: s.cfg.alpha, Budget: s.cfg.indexBudget,
-			Engine: s.req.Engine, Workers: s.cfg.workers, Seed: s.cfg.seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.wix = in.Backend()
-	}
-	if s.cfg.topk > 0 {
-		if s.tk, err = topk.Attach(net, topk.Config{
-			Alpha: s.cfg.alpha, Engine: s.req.Engine,
-			Workers: s.cfg.workers, Seed: s.cfg.seed,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return net, nil
 }
 
 // buildMirror reconstructs the deployment Network from topology specs: the
@@ -372,17 +280,6 @@ func (s *queryScorer) ScoreBatch(queries [][]float64, req core.DiffusionRequest)
 	return net.ScoreBatch(queries, req)
 }
 
-// ScoreBatchTopK implements serve.RankedBackend over the current mirror:
-// with -topk the attached bidirectional ranker answers (certified early
-// stop), without it the mirror's exact full-vector fallback does — either
-// way SubmitRanked resolves to the exact top-k.
-func (s *queryScorer) ScoreBatchTopK(queries [][]float64, req core.DiffusionRequest) ([]core.RankedResult, diffuse.Stats, error) {
-	s.mu.RLock()
-	net := s.net
-	s.mu.RUnlock()
-	return net.ScoreBatchTopK(queries, req)
-}
-
 // scoreTimeout bounds how long a forwarded query may wait in the
 // scheduler; queries are additionally timeout-guarded at their origin.
 const scoreTimeout = 30 * time.Second
@@ -401,19 +298,6 @@ func (s *queryScorer) Score(query []float64) ([]float64, error) {
 		opts.Deadline = time.Now().Add(s.cfg.deadline)
 	}
 	return s.sched.SubmitWith(ctx, query, opts)
-}
-
-// RankQuery returns the certified top-k document-host ranking for one
-// query embedding through the scheduler's ranked path (same-k coalescing,
-// same class/deadline tagging as Score). Needs -topk.
-func (s *queryScorer) RankQuery(query []float64, k int) (core.RankedResult, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), scoreTimeout)
-	defer cancel()
-	opts := serve.SubmitOpts{Class: s.cfg.class}
-	if s.cfg.deadline != 0 {
-		opts.Deadline = time.Now().Add(s.cfg.deadline)
-	}
-	return s.sched.SubmitRanked(ctx, query, k, opts)
 }
 
 // Prewarm scores a whole query batch in one multi-column diffusion and
@@ -439,12 +323,6 @@ const smallPatchFrac = 0.25
 // invalidation inspects where cached mass already is and cannot see mass
 // a new document creates (see serve.Scheduler.InvalidateNodes). The
 // returned summary is for the reload log line.
-//
-// With -scorer walkindex the segment store survives the patch: segments
-// whose seeds sit in the patch's closed neighbourhood are dropped (their
-// PPR columns changed) and the rest keep serving the new mirror — stale
-// or missing segments cost finish sweeps, never accuracy — while the
-// background refresher rebuilds the dropped ones.
 func (s *queryScorer) Patch(specs map[int]peerSpec) (string, error) {
 	s.mu.RLock()
 	old := s.specs
@@ -454,24 +332,6 @@ func (s *queryScorer) Patch(specs map[int]peerSpec) (string, error) {
 	net, err := buildMirror(specs, s.vocab)
 	if err != nil {
 		return "", err
-	}
-	if s.wix != nil {
-		// The existing walk-index backend is re-pointed at the new
-		// Transition (dropping patched segments) and re-attached, so
-		// surviving segments keep answering.
-		s.wix.PatchTopology(net.Transition(), changed)
-		s.wix.SetSeeds(walkindex.DocSeeds(net))
-		net.SetScorer(s.wix)
-	}
-	if s.tk != nil {
-		// Same staleness contract as the walk index: reverse tables whose
-		// candidates sit in the patch's closed neighbourhood drop, the rest
-		// survive with poisoned error bounds until lazily re-measured, and
-		// the candidate set follows the new document placement — rankings
-		// on the new topology stay exact either way.
-		s.tk.PatchTopology(net.Transition(), changed)
-		s.tk.SetCandidates(net.DocHosts())
-		net.SetRanker(s.tk)
 	}
 	s.mu.Lock()
 	s.net = net
@@ -553,14 +413,8 @@ func equalInts(a, b []int) bool {
 	return slices.Equal(as, bs)
 }
 
-// Close drains and stops the scheduler. The refresher stops first so no
-// new index-build tasks chase the closing scheduler.
-func (s *queryScorer) Close() {
-	if s.refresher != nil {
-		s.refresher.Stop()
-	}
-	s.sched.Close()
-}
+// Close drains and stops the scheduler.
+func (s *queryScorer) Close() { s.sched.Close() }
 
 func run(cfg runConfig) error {
 	if cfg.topoPath == "" || cfg.id < 0 {
@@ -601,26 +455,16 @@ func run(cfg runConfig) error {
 		if err != nil {
 			return err
 		}
-		sk, err := core.ParseScorer(cfg.scorer)
-		if err != nil {
-			return err
-		}
-		if cfg.indexBudget != 0 && sk != core.ScorerWalkIndex {
-			return fmt.Errorf("-index-budget needs -scorer walkindex")
-		}
 		if scorer, err = newQueryScorer(specs, vocab, scorerConfig{
 			engine: cfg.engine, alpha: cfg.alpha, workers: cfg.workers, seed: cfg.seed,
 			maxWait: cfg.maxWait, maxBatch: cfg.maxBatch, cache: cfg.cache,
-			scorer: sk, indexBudget: cfg.indexBudget,
-			class: cl, deadline: cfg.deadline, topk: cfg.topk,
+			class: cl, deadline: cfg.deadline,
 			tel: tel,
 		}); err != nil {
 			return err
 		}
 		defer scorer.Close()
 		tel.registerScorer(scorer)
-	} else if cfg.scorer != "" || cfg.topk > 0 {
-		return fmt.Errorf("-scorer and -topk need -engine (request-API scoring)")
 	}
 
 	tr, err := peernet.ListenTCP(cfg.id, spec.addr)
@@ -671,35 +515,11 @@ func run(cfg runConfig) error {
 	mode := "gossip-cache scoring"
 	if scorer != nil {
 		mode = fmt.Sprintf("request-API scoring (engine %v)", scorer.req.Engine)
-		if scorer.wix != nil {
-			mode += fmt.Sprintf(", walk index over %d seeds", scorer.wix.SeedCount())
-		}
-		if scorer.tk != nil {
-			mode += fmt.Sprintf(", certified top-%d ranking over %d candidates",
-				cfg.topk, len(scorer.tk.Candidates()))
-		}
 	}
 	fmt.Printf("peer %d listening on %s (%d neighbours, %d local docs, %s)\n",
 		cfg.id, tr.Addr(), len(spec.neighbors), len(spec.docs), mode)
 
 	issue := func(word retrieval.DocID) error {
-		if scorer != nil && cfg.topk > 0 {
-			// The certified ranking answers "which hosts would a perfect
-			// relevance walk end at" before any message leaves this peer.
-			r, err := scorer.RankQuery(vocab.Vector(word), cfg.topk)
-			if err != nil {
-				return err
-			}
-			status := "certified early-stop"
-			if !r.Certified {
-				status = "fully converged, no certificate"
-			}
-			fmt.Printf("query %s top-%d hosts (%s):", vocab.Word(word), len(r.IDs), status)
-			for i, id := range r.IDs {
-				fmt.Printf(" %d(%.4f)", id, r.Scores[i])
-			}
-			fmt.Println()
-		}
 		results, err := peer.Query(vocab.Vector(word), cfg.ttl, cfg.k, 30*time.Second)
 		if err != nil {
 			return err

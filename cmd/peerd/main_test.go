@@ -9,7 +9,6 @@ import (
 
 	"strings"
 
-	"diffusearch/internal/core"
 	"diffusearch/internal/diffuse"
 	"diffusearch/internal/embed"
 	"diffusearch/internal/graph"
@@ -279,78 +278,6 @@ func TestQueryScorerPatchFollowsTopologyAndInvalidatesCache(t *testing.T) {
 	if again, err := scorer.Score(q); err != nil || len(again) != 4 {
 		t.Fatalf("scorer unusable after failed patch: %v %d", err, len(again))
 	}
-}
-
-// rankedSet is the set view of a ranking (the ranked contract is
-// set-exact; within-set order may differ under early stop).
-func rankedSet(ids []graph.NodeID) map[graph.NodeID]bool {
-	s := make(map[graph.NodeID]bool, len(ids))
-	for _, id := range ids {
-		s[id] = true
-	}
-	return s
-}
-
-func TestRankQueryExactAndFollowsPatch(t *testing.T) {
-	// The -topk serving path end to end: RankQuery must return exactly the
-	// full-vector top-k over the document hosts, and a SIGHUP-style
-	// topology Patch must re-point the ranker at the fresh mirror so the
-	// very next ranking is exact on the new overlay.
-	vocab := testVocab(t)
-	scorer, err := newQueryScorer(testSpecs(), vocab, scorerConfig{
-		engine: "parallel", alpha: 0.5, workers: 1, seed: 42,
-		maxBatch: 8, cache: 32, topk: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(scorer.Close)
-	if scorer.tk == nil {
-		t.Fatal("topk config did not attach the ranker")
-	}
-
-	check := func(stage string, wantNodes int) {
-		t.Helper()
-		q := vocab.Vector(3)
-		full, err := scorer.Score(q)
-		if err != nil {
-			t.Fatalf("%s: full-vector score: %v", stage, err)
-		}
-		if len(full) != wantNodes {
-			t.Fatalf("%s: mirror covers %d nodes, want %d", stage, len(full), wantNodes)
-		}
-		want := core.RankTop(full, scorer.tk.Candidates(), 2)
-		got, err := scorer.RankQuery(q, 2)
-		if err != nil {
-			t.Fatalf("%s: RankQuery: %v", stage, err)
-		}
-		wantSet, gotSet := rankedSet(want.IDs), rankedSet(got.IDs)
-		if len(gotSet) != len(wantSet) {
-			t.Fatalf("%s: ranked %v, full-vector top-k %v", stage, got.IDs, want.IDs)
-		}
-		for id := range wantSet {
-			if !gotSet[id] {
-				t.Fatalf("%s: ranked %v, full-vector top-k %v", stage, got.IDs, want.IDs)
-			}
-		}
-	}
-	check("before patch", 3)
-	if st := localStats(scorer); st.RankedScored == 0 {
-		t.Fatalf("ranked query not accounted: %+v", st)
-	}
-
-	// Peer 3 joins holding doc 12 — the ranker must see both the new
-	// topology and the grown candidate set.
-	specs := testSpecs()
-	specs[2] = peerSpec{addr: "a:3", neighbors: []graph.NodeID{1, 3}, docs: []retrieval.DocID{7}}
-	specs[3] = peerSpec{addr: "a:4", neighbors: []graph.NodeID{2}, docs: []retrieval.DocID{12}}
-	if _, err := scorer.Patch(specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(scorer.tk.Candidates()); got != 3 {
-		t.Fatalf("patched candidate set has %d hosts, want 3", got)
-	}
-	check("after patch", 4)
 }
 
 func TestPatchTargetedInvalidation(t *testing.T) {

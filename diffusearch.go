@@ -63,8 +63,6 @@ import (
 	"diffusearch/internal/retrieval"
 	"diffusearch/internal/serve"
 	"diffusearch/internal/telemetry"
-	"diffusearch/internal/topk"
-	"diffusearch/internal/walkindex"
 )
 
 // Re-exported identifier types.
@@ -152,46 +150,6 @@ type (
 	// ServeBackend scores query batches for a Scheduler; *Network
 	// satisfies it.
 	ServeBackend = serve.Backend
-	// WalkIndexedNetwork is a Network scoring through a memory-bounded
-	// store of precomputed PPR segments (leading terms of each document
-	// host's PPR column) with an exact residual finish — results match the
-	// plain CSR backend within the request tolerance even when the store
-	// is partial or stale. Construct with AttachWalkIndex.
-	WalkIndexedNetwork = walkindex.IndexedNetwork
-	// WalkIndexConfig parameterizes the walk index: teleport probability,
-	// truncation threshold, byte budget, build engine, and seed set.
-	WalkIndexConfig = walkindex.Config
-	// WalkIndexBackend is the segment store itself (build, patch, gauges).
-	WalkIndexBackend = walkindex.Backend
-	// WalkIndexRefresher rebuilds missing walk-index segments in the
-	// background as Bulk-class tasks riding a Scheduler. Construct with
-	// NewWalkIndexRefresher.
-	WalkIndexRefresher = walkindex.Refresher
-	// WalkIndexRefreshConfig paces a WalkIndexRefresher (poll interval and
-	// seeds per task).
-	WalkIndexRefreshConfig = walkindex.RefreshConfig
-	// ScorerKind names a scoring backend (csr or walkindex);
-	// parse command-line values with ParseScorer.
-	ScorerKind = core.ScorerKind
-	// RankedResult is one query's top-k document hosts with their scores;
-	// Certified reports whether the set was proven equal to the
-	// full-vector top-k by an early-stop certificate (false means the
-	// diffusion ran to full convergence instead — exact either way).
-	// Returned by Network.ScoreBatchTopK (DiffusionRequest.TopK) and
-	// Scheduler.SubmitRanked.
-	RankedResult = core.RankedResult
-	// TopKBackend is the bidirectional top-k scorer: reverse-push tables
-	// from the candidate set bound each candidate's final score, so the
-	// forward diffusion stops as soon as the k/(k+1) gap certifies the
-	// ranking. Construct with AttachTopK; PatchTopology follows topology
-	// changes under the same changed-closure contract as the walk index.
-	TopKBackend = topk.Backend
-	// TopKConfig parameterizes AttachTopK (teleport probability, reverse
-	// table accuracy, certificate cadence, build engine, candidate set).
-	TopKConfig = topk.Config
-	// RankedServeBackend is the optional serve.Backend extension behind
-	// Scheduler.SubmitRanked; *Network satisfies it.
-	RankedServeBackend = serve.RankedBackend
 	// DiffusionObserver is a read-only per-sweep tap on the column-blocked
 	// diffusion kernels (set DiffusionRequest.Observer or
 	// DiffusionParams.Observe): it receives one SweepStat per sweep and
@@ -272,12 +230,6 @@ const (
 	VisitedNone       = core.VisitedNone
 )
 
-// Scoring backends a Network can serve through (see ParseScorer).
-const (
-	ScorerCSR       = core.ScorerCSR
-	ScorerWalkIndex = core.ScorerWalkIndex
-)
-
 // Scheduling classes for SubmitOpts: Interactive is the zero value
 // (latency-sensitive, jumps the coalesce window); Bulk trades latency for
 // batch width (prewarms, analytics) under the BulkMaxWait budget.
@@ -289,16 +241,13 @@ const (
 // ServeTrace resolution paths: how a Scheduler submission was resolved
 // (TracePaths lists them in display order).
 const (
-	TraceCacheHit   = serve.PathCacheHit
-	TraceScored     = serve.PathScored
-	TraceDedup      = serve.PathDedup
-	TraceRanked     = serve.PathRanked
-	TraceDowngraded = serve.PathDowngraded
-	TraceShed       = serve.PathShed
-	TraceRejected   = serve.PathRejected
-	TraceCancelled  = serve.PathCancelled
-	TraceTask       = serve.PathTask
-	TraceError      = serve.PathError
+	TraceCacheHit  = serve.PathCacheHit
+	TraceScored    = serve.PathScored
+	TraceDedup     = serve.PathDedup
+	TraceShed      = serve.PathShed
+	TraceRejected  = serve.PathRejected
+	TraceCancelled = serve.PathCancelled
+	TraceError     = serve.PathError
 )
 
 // ErrDeadlineMissed is returned by Scheduler.SubmitWith when a query's
@@ -338,24 +287,6 @@ var (
 	// ParseServeClass maps a command-line name (interactive|bulk) to a
 	// scheduling class.
 	ParseServeClass = serve.ParseClass
-	// AttachWalkIndex installs the walk-index scoring backend on an
-	// existing Network in place (seeds default to the document hosts) and
-	// returns the WalkIndexedNetwork wrapper; Build fills the store.
-	AttachWalkIndex = walkindex.Attach
-	// NewWalkIndexRefresher pairs a walk-index backend with a Scheduler so
-	// missing segments rebuild as background Bulk tasks; Start launches it.
-	NewWalkIndexRefresher = walkindex.NewRefresher
-	// WalkIndexDocSeeds lists a network's document hosts, hottest first —
-	// the default seed set of AttachWalkIndex.
-	WalkIndexDocSeeds = walkindex.DocSeeds
-	// ParseScorer maps a command-line name (csr|walkindex) to a
-	// ScorerKind.
-	ParseScorer = core.ParseScorer
-	// AttachTopK installs the bidirectional top-k ranker on an existing
-	// Network in place (candidates default to the document hosts) and
-	// returns the TopKBackend; Network.ScoreBatchTopK then answers
-	// DiffusionRequest{TopK: k} with certified early-stopped rankings.
-	AttachTopK = topk.Attach
 	// NewMetricsRegistry creates an empty MetricsRegistry.
 	NewMetricsRegistry = telemetry.New
 	// NewDiffusionMetrics registers the diffusion sweep metric families in

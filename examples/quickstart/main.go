@@ -159,61 +159,12 @@ func main() {
 		pst.ClassWait[diffusearch.ClassInteractive].P99,
 		pst.ClassWait[diffusearch.ClassBulk].P99, pst.DeadlineMissed)
 
-	// 8. Walk-index serving: attach a precomputed PPR segment store to the
-	//    network and build it offline — queries then assemble cached
-	//    segments and finish only the residual, with scores within the
-	//    request tolerance of the plain CSR backend (peerd: -scorer
-	//    walkindex). SetScorer(nil) would restore the CSR default.
-	indexed, err := diffusearch.AttachWalkIndex(net, diffusearch.WalkIndexConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := indexed.Backend().Build(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%v (coverage %.2f)\n", indexed.Backend(), indexed.Backend().Coverage())
-	warm, _, err := net.ScoreBatch([][]float64{query}, diffusearch.DiffusionRequest{Alpha: 0.5})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var maxDiff float64
-	for u, v := range warm[0] {
-		if d := v - scores[0][u]; d > maxDiff {
-			maxDiff = d
-		} else if -d > maxDiff {
-			maxDiff = -d
-		}
-	}
-	fmt.Printf("walk-index scores match CSR within %.1e\n", maxDiff)
-
-	// 9. Certified top-k: attach the bidirectional ranker (reverse-push
-	//    tables from the document hosts) and ask for the k best hosts via
-	//    DiffusionRequest.TopK — the forward diffusion stops at the first
-	//    sweep whose k/(k+1) score gap is provably final. The result set
-	//    always equals the full-vector top-k: without a certificate the
-	//    backend falls back to full convergence, never an approximation.
-	net.SetScorer(nil) // rank on the plain CSR backend
-	if _, err := diffusearch.AttachTopK(net, diffusearch.TopKConfig{Alpha: 0.5}); err != nil {
-		log.Fatal(err)
-	}
-	ranked, rst, err := net.ScoreBatchTopK([][]float64{query},
-		diffusearch.DiffusionRequest{Alpha: 0.5, TopK: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("top-3 document hosts (certified=%v, %d sweeps vs %d full):",
-		ranked[0].Certified, rst.Sweeps, st.Sweeps)
-	for i, id := range ranked[0].IDs {
-		fmt.Printf(" %d(%.4f)", id, ranked[0].Scores[i])
-	}
-	fmt.Println()
-
-	// 10. Observability: one MetricsRegistry collects every layer — the
-	//     stock diffusion observer turns per-sweep convergence stats into
-	//     histograms (observed runs stay bit-identical to bare ones), and
-	//     a scheduler trace hook counts resolutions by path — and serves
-	//     it the way `peerd -admin` does: /metrics in Prometheus text
-	//     plus /statusz as a JSON status snapshot.
+	// 8. Observability: one MetricsRegistry collects every layer — the
+	//    stock diffusion observer turns per-sweep convergence stats into
+	//    histograms (observed runs stay bit-identical to bare ones), and
+	//    a scheduler trace hook counts resolutions by path — and serves
+	//    it the way `peerd -admin` does: /metrics in Prometheus text
+	//    plus /statusz as a JSON status snapshot.
 	reg := diffusearch.NewMetricsRegistry()
 	obsReq := diffusearch.DiffusionRequest{
 		Alpha: 0.5, Observer: diffusearch.NewDiffusionMetrics(reg),
@@ -276,16 +227,16 @@ func main() {
 	fmt.Printf("statusz: local scheduler resolved %d submissions (%d from cache)\n",
 		status["local"].Completed+status["local"].CacheHits, status["local"].CacheHits)
 
-	// 11. Routed fan-out: each peer gossips a compact bloom summary of its
-	//     document holdings piggybacked on the embed messages, and a
-	//     forwarded query carries doc-term keys mined from its embedding.
-	//     Every hop consults its cached neighbour summaries — steering to
-	//     the best-scoring filter hit, falling back to plain greedy when
-	//     every candidate misses, and answering early when the walk
-	//     already tracks its primary key document and no fresh filter can
-	//     extend it. The deterministic protocol harness below runs the
-	//     exact peer logic without goroutines or clocks, so routed vs
-	//     unrouted costs compare on identical walks.
+	// 9. Routed fan-out: each peer gossips a compact bloom summary of its
+	//    document holdings piggybacked on the embed messages, and a
+	//    forwarded query carries doc-term keys mined from its embedding.
+	//    Every hop consults its cached neighbour summaries — steering to
+	//    the best-scoring filter hit, falling back to plain greedy when
+	//    every candidate misses, and answering early when the walk
+	//    already tracks its primary key document and no fresh filter can
+	//    extend it. The deterministic protocol harness below runs the
+	//    exact peer logic without goroutines or clocks, so routed vs
+	//    unrouted costs compare on identical walks.
 	adj := make([][]diffusearch.NodeID, g.NumNodes())
 	for u := range adj {
 		adj[u] = g.Neighbors(u)

@@ -37,7 +37,6 @@ type Network struct {
 	scorer        retrieval.Scorer
 	summarization string
 	scoring       Scorer // diffusion backend; single-CSR unless SetScorer
-	ranker        Ranker // top-k backend; full-vector fallback unless SetRanker
 
 	docsAt []*retrieval.LocalIndex          // per-node collections D_u
 	hostOf map[retrieval.DocID]graph.NodeID // inverse of the placement

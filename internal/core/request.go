@@ -85,21 +85,12 @@ type DiffusionRequest struct {
 	// width-filling background work (prewarms, analytics) and
 	// ClassInteractive otherwise. The engines ignore it.
 	Class ServeClass
-	// TopK, when > 0, asks for the k best-scoring document-host nodes
-	// instead of the full per-node score vector. ScoreBatchTopK serves it —
-	// through the bidirectional ranker when one is attached (internal/topk:
-	// reverse-push bounds let the forward diffusion stop as soon as the
-	// top-k set is provably stable), through a full-vector diffusion plus
-	// ranking otherwise. Run and ScoreBatch ignore it, like Class: a
-	// full-vector entry point always returns the full vector.
-	TopK int
 	// Observer, when non-nil, taps the convergence profile: the column
-	// kernels behind Run, ScoreBatch, and ScoreBatchTopK deliver one
-	// diffuse.SweepStat per sweep (frontier size, residual mass,
-	// per-sweep message traffic) to it. Strictly read-only — an observed
-	// run is bit-identical to an unobserved one — and threaded through
-	// every scoring backend, so walk-index residual finishes and top-k
-	// certified stops report the same way plain CSR diffusions do.
+	// kernels behind Run and ScoreBatch deliver one diffuse.SweepStat per
+	// sweep (frontier size, residual mass, per-sweep message traffic) to
+	// it. Strictly read-only — an observed run is bit-identical to an
+	// unobserved one — and handed to the scoring backend with the rest of
+	// the engine parameters.
 	Observer diffuse.Observer
 }
 
@@ -117,8 +108,8 @@ func (r DiffusionRequest) params() diffuse.Params {
 }
 
 // projectQueries builds the n×B relevance signal x_j[v] = e_qj · E0[v] that
-// both ScoreBatch and ScoreBatchTopK diffuse (the linearity trick; see
-// ScoreBatch). Requires the DotProduct scorer and computed personalization.
+// ScoreBatch diffuses (the linearity trick; see ScoreBatch). Requires the
+// DotProduct scorer and computed personalization.
 func (n *Network) projectQueries(queries [][]float64) (*vecmath.Matrix, error) {
 	if n.perso == nil {
 		return nil, ErrNoPersonalization

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"diffusearch/internal/diffuse"
 	"diffusearch/internal/graph"
 	"diffusearch/internal/vecmath"
@@ -11,11 +9,10 @@ import (
 // Scorer is the diffusion backend behind a Network's Run and ScoreBatch:
 // given the resolved engine and parameters of a DiffusionRequest, it
 // smooths an embedding matrix (Diffuse) or a batched scalar relevance
-// signal (DiffuseSignal) over some representation of the topology. The
-// default backend diffuses the network's single CSR; internal/walkindex
-// answers from precomputed PPR segments instead. Swapping the backend
-// changes how the diffusion runs, never the request API — every entry
-// point keeps going through DiffusionRequest.
+// signal (DiffuseSignal). The only backend diffuses the network's single
+// CSR; the interface is the seam a caller wraps to time or count every
+// diffusion (the repo benchmark's tracer installs
+// SetScorer(wrapper{ScoringBackend()})) without touching the request API.
 type Scorer interface {
 	// Diffuse smooths an n×d embedding matrix (Network.Run's engine path).
 	Diffuse(e0 *vecmath.Matrix, engine diffuse.Engine, p diffuse.Params, seed uint64) (*vecmath.Matrix, diffuse.Stats, error)
@@ -40,11 +37,11 @@ func (s *csrScorer) DiffuseSignal(sig *diffuse.Signal, engine diffuse.Engine, p 
 	return diffuse.RunSignal(engine, s.tr, sig, p, seed)
 }
 
-// SetScorer installs a custom diffusion backend (e.g. the walk index of
-// internal/walkindex). Passing nil restores the single-CSR default over the
-// network's current transition operator. The backend must diffuse over the
-// same topology the network was built on — scores and embeddings are
-// indexed by this network's node ids.
+// SetScorer installs a diffusion backend, typically a wrapper around
+// ScoringBackend() that instruments each call. Passing nil restores the
+// single-CSR default over the network's current transition operator. The
+// backend must diffuse over the same topology the network was built on —
+// scores and embeddings are indexed by this network's node ids.
 func (n *Network) SetScorer(s Scorer) {
 	if s == nil {
 		s = &csrScorer{tr: n.tr}
@@ -54,37 +51,3 @@ func (n *Network) SetScorer(s Scorer) {
 
 // ScoringBackend returns the active diffusion backend.
 func (n *Network) ScoringBackend() Scorer { return n.scoring }
-
-// ScorerKind names a scoring backend for command-line selection
-// (peerd -scorer): the single-CSR default or the precomputed walk index of
-// internal/walkindex.
-type ScorerKind int
-
-const (
-	ScorerCSR ScorerKind = iota + 1
-	ScorerWalkIndex
-)
-
-// String returns the flag spelling ParseScorer accepts.
-func (k ScorerKind) String() string {
-	switch k {
-	case ScorerCSR:
-		return "csr"
-	case ScorerWalkIndex:
-		return "walkindex"
-	}
-	return fmt.Sprintf("ScorerKind(%d)", int(k))
-}
-
-// ParseScorer maps a command-line name to a backend kind. The empty
-// string selects the CSR default, and an unknown name's error lists the
-// accepted spellings (flag typos must not surface as bare errors).
-func ParseScorer(s string) (ScorerKind, error) {
-	switch s {
-	case "", "csr":
-		return ScorerCSR, nil
-	case "walkindex":
-		return ScorerWalkIndex, nil
-	}
-	return 0, fmt.Errorf("core: unknown scorer %q (want csr|walkindex)", s)
-}

@@ -6,7 +6,7 @@
 //
 // The engines (see Engine for selection) are visit orders of that one
 // update over one sweep driver (sweep.go), which owns the column plan,
-// per-column retirement, Stats, and the Stop/Observe hooks:
+// per-column retirement, Stats, and the Observe hook:
 //
 //   - Synchronous: every node per sweep from the previous sweep's values;
 //     the scoring-grade reference, bit-compatible with ppr.PPRFilter.
@@ -74,15 +74,10 @@ type Params struct {
 	// rejected. Every plan is bit-identical — the knob trades only speed.
 	ColTile int
 
-	// Stop, when non-nil, lets the column kernels retire columns before
-	// their residual converges (see StopPredicate). Synchronous, which
-	// delegates to ppr.PPRFilter, ignores it.
-	Stop StopPredicate
-
 	// Observe, when non-nil, receives one SweepStat per sweep/round from
 	// the column kernels (see Observer) — a read-only tap on the
 	// convergence profile that can never change the result. Synchronous
-	// ignores it, like Stop.
+	// ignores it.
 	Observe Observer
 }
 

@@ -1,6 +1,7 @@
 package diffuse
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -102,8 +103,7 @@ func TestGSSweepCountBeatsParallelRounds(t *testing.T) {
 func TestGSObserverAndStopContract(t *testing.T) {
 	// The GS kernel honors the shared column-kernel contracts: an
 	// observed run is bit-identical to a bare one with one SweepStat per
-	// sweep, and a StopPredicate retires columns exactly like residual
-	// convergence does.
+	// sweep, and the sweep budget retires every column at the budget.
 	tr := signalGraph(t)
 	n := tr.Graph().NumNodes()
 	e0 := sparseColumns(31, n, 6)
@@ -137,36 +137,20 @@ func TestGSObserverAndStopContract(t *testing.T) {
 		t.Errorf("observer message deltas sum to %d, stats report %d", msgs, wst.Messages)
 	}
 
-	// Stop every column at sweep 2: the output must be the sweep-2
-	// iterate and every ColumnSweeps entry must read 2.
-	stopAll := stopAtSweep(2)
+	// Stop every column by the sweep budget at sweep 2: the run reports
+	// ErrNoConvergence and every ColumnSweeps entry reads 2.
 	ps := p
-	ps.Stop = &stopAll
+	ps.MaxSweeps = 2
 	_, st, err := ParallelGSColumns(tr, NewSignal(e0), ps)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("budget-stopped run: err %v, want ErrNoConvergence", err)
 	}
-	if !st.Converged || st.Sweeps != 2 {
-		t.Fatalf("stop-all run: %+v, want converged in 2 sweeps", st)
+	if st.Converged || st.Sweeps != 2 {
+		t.Fatalf("budget-stopped run: %+v, want unconverged after 2 sweeps", st)
 	}
 	for j, s := range st.ColumnSweeps {
 		if s != 2 {
 			t.Errorf("column %d retired at sweep %d, want 2", j, s)
 		}
 	}
-}
-
-// stopAtSweep is a StopPredicate retiring every active column at the
-// given sweep.
-type stopAtSweep int
-
-func (s *stopAtSweep) Stop(sweep int, act []int, cur *vecmath.Matrix) []bool {
-	if sweep < int(*s) {
-		return nil
-	}
-	flags := make([]bool, len(act))
-	for i := range flags {
-		flags[i] = true
-	}
-	return flags
 }

@@ -32,18 +32,16 @@ type SweepStat struct {
 }
 
 // Observer receives one SweepStat per sweep from the column kernels when
-// installed via Params.Observe. It follows the StopPredicate call
-// protocol: invoked once per sweep/round, after the iterate is
-// consistent and before residual retirement, on the engine's
-// coordinating goroutine — never from inside a worker. Unlike a
-// StopPredicate it is strictly read-only: an observer can watch scores,
-// residuals, and traffic but can never perturb them, so an observed run
-// is bit-identical (scores, sweep counts, retirement decisions) to an
-// unobserved one. Implementations must be fast and must not block; a
-// nil Params.Observe costs the hot path exactly one nil check per
-// sweep. Synchronous, which delegates to ppr.PPRFilter, ignores
-// observers as it ignores stop predicates; every other entry point is a
-// column-kernel run and reports.
+// installed via Params.Observe. It is invoked once per sweep/round, after
+// the iterate is consistent and before residual retirement, on the
+// engine's coordinating goroutine — never from inside a worker. It is
+// strictly read-only: an observer can watch scores, residuals, and
+// traffic but can never perturb them, so an observed run is bit-identical
+// (scores, sweep counts, retirement decisions) to an unobserved one.
+// Implementations must be fast and must not block; a nil Params.Observe
+// costs the hot path exactly one nil check per sweep. Synchronous, which
+// delegates to ppr.PPRFilter, ignores observers; every other entry point
+// is a column-kernel run and reports.
 type Observer interface {
 	ObserveSweep(SweepStat)
 }

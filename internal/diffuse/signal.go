@@ -88,16 +88,14 @@ func (cb *colBlock) retireAll(sweep int, cur *vecmath.Matrix) {
 
 // retireSweep is the shared per-sweep retirement step of every column
 // kernel: it retires each active slot whose residual in cr dropped to
-// thresh, plus every slot flagged by stop (a StopPredicate's early
-// terminations; nil means none). It returns the still-active compact
-// indices for repacking via vecmath.SelectColumns — nil when nothing
-// retired (callers skip the repack) — and whether the whole block is now
-// done.
-func (cb *colBlock) retireSweep(cr []float64, thresh float64, stop []bool, sweep int, cur *vecmath.Matrix) (keep []int, done bool) {
+// thresh. It returns the still-active compact indices for repacking via
+// vecmath.SelectColumns — nil when nothing retired (callers skip the
+// repack) — and whether the whole block is now done.
+func (cb *colBlock) retireSweep(cr []float64, thresh float64, sweep int, cur *vecmath.Matrix) (keep []int, done bool) {
 	frozen := make([]bool, len(cr))
 	any := false
 	for j, v := range cr {
-		frozen[j] = v <= thresh || (stop != nil && stop[j])
+		frozen[j] = v <= thresh
 		any = any || frozen[j]
 	}
 	if !any {

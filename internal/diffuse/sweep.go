@@ -12,8 +12,8 @@ import (
 // one update catalogued by the PPR survey, arXiv 2403.05198). sweepRun
 // owns everything that does not depend on that order: the column plan and
 // its per-sweep coalescing, the residual merge in compact slot order,
-// Stats, the Observer and StopPredicate calls, per-tile retirement,
-// quiescence, and the no-convergence exit. An engine supplies its visit
+// Stats, the Observer call, per-tile retirement, quiescence, and the
+// no-convergence exit. An engine supplies its visit
 // order as the per-sweep body handed to drive:
 //
 //   - SynchronousColumns: every node from the previous sweep's values, with
@@ -53,8 +53,7 @@ func newSweepRun(sig *Signal, widths []int, workers int, needNext bool) *sweepRu
 // and report how many nodes it visited and whether it is quiescent — it
 // has no further work queued, which retires every remaining column (only
 // the frontier orders ever are; the dense orders return false). A column
-// otherwise retires the sweep its merged residual drops to thresh or
-// p.Stop flags it.
+// otherwise retires the sweep its merged residual drops to thresh.
 func (r *sweepRun) drive(p Params, thresh float64, maxSweeps int, body func() (visited int, quiescent bool)) (*Signal, Stats, error) {
 	ts, st := r.ts, &r.st
 	st.ColumnSweeps = ts.sweeps
@@ -104,12 +103,8 @@ func (r *sweepRun) drive(p Params, thresh float64, maxSweeps int, body func() (v
 			return out, *st, nil
 		}
 		for _, t := range r.live {
-			var stop []bool
-			if p.Stop != nil {
-				stop = p.Stop.Stop(sweep, t.cb.act, t.cur)
-			}
 			tw := t.width()
-			t.retireSweep(cr[:tw], thresh, stop, sweep)
+			t.retireSweep(cr[:tw], thresh, sweep)
 			cr = cr[tw:]
 		}
 		if ts.activeWidth() == 0 {

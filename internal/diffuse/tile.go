@@ -97,10 +97,10 @@ func (t *colTile) e0row(u int) []float64 {
 	return t.e0v.Row(u)[t.e0lo : t.e0lo+len(t.cb.act)]
 }
 
-// retireSweep retires the tile's converged/stopped slots and repacks its
+// retireSweep retires the tile's converged slots and repacks its
 // matrices. cr must be the tile's merged residuals for the sweep.
-func (t *colTile) retireSweep(cr []float64, thresh float64, stop []bool, sweep int) {
-	keep, _ := t.cb.retireSweep(cr, thresh, stop, sweep, t.cur)
+func (t *colTile) retireSweep(cr []float64, thresh float64, sweep int) {
+	keep, _ := t.cb.retireSweep(cr, thresh, sweep, t.cur)
 	if keep == nil {
 		return
 	}

@@ -165,7 +165,7 @@ func BaselineVariants(floodTTL int) []Variant {
 	}
 }
 
-// RecallConfig parameterizes RecallAtK (ablation abl-topk): top-k recall of
+// RecallConfig parameterizes RecallAtK (ablation abl-recall): top-k recall of
 // the decentralized walk against the centralized engine of §III-A.
 type RecallConfig struct {
 	M          int

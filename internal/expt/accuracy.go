@@ -116,6 +116,16 @@ func AccuracyByDistance(env *Environment, cfg AccuracyConfig) (AccuracyResult, e
 		}
 		goldHost := net.HostOf(pair.Gold)
 		groups := env.Graph.NodesAtDistance(goldHost, cfg.MaxDistance)
+		// One origin per distance, drawn before the α loop, and a walk seed
+		// without the series index: the α columns walk the same query from
+		// the same node and differ only in α (paired outcomes).
+		origins := make([]graph.NodeID, cfg.MaxDistance+1)
+		for d := range origins {
+			origins[d] = -1 // no node exactly d hops away in this draw
+			if len(groups[d]) > 0 {
+				origins[d] = groups[d][r.IntN(len(groups[d]))]
+			}
+		}
 
 		for si, alpha := range cfg.Alphas {
 			scores, err := sharedScores(net, query, alpha)
@@ -123,16 +133,15 @@ func AccuracyByDistance(env *Environment, cfg AccuracyConfig) (AccuracyResult, e
 				return AccuracyResult{}, err
 			}
 			series := &res.Series[si]
-			for d := 0; d <= cfg.MaxDistance; d++ {
-				if len(groups[d]) == 0 {
-					continue // no node exactly d hops away in this draw
+			for d, origin := range origins {
+				if origin < 0 {
+					continue
 				}
-				origin := groups[d][r.IntN(len(groups[d]))]
 				out, err := net.RunQuery(origin, query, pair.Gold, core.QueryConfig{
 					TTL:     cfg.TTL,
 					Policy:  cfg.Policy,
 					Visited: cfg.Visited,
-					Seed:    randx.DeriveN(cfg.Seed, "fig3-walk", iter*1000+si*16+d).Uint64(),
+					Seed:    randx.DeriveN(cfg.Seed, "fig3-walk", iter*1000+d).Uint64(),
 					Scores:  scores,
 				})
 				if err != nil {

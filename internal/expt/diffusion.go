@@ -142,8 +142,7 @@ func SummarizeColumnSweeps(cols []int) string {
 // FormatDiffusion renders CompareDiffusionEngines rows; speedup is
 // wall-clock relative to the first row, and col-sweeps summarizes the
 // per-column sweep counts (min/med/max) of the column-blocked rows. The
-// engine column clips through the shared labelCell width, like every
-// other engine-labelled table.
+// engine column clips through labelCell.
 func FormatDiffusion(rows []DiffusionRow) *stats.Table {
 	t := &stats.Table{Header: []string{"engine", "wall", "speedup", "sweeps", "col-sweeps", "updates", "messages", "max|Δ| vs sync"}}
 	for _, r := range rows {

@@ -100,3 +100,14 @@ func TestBatchScaling(t *testing.T) {
 		t.Fatal("invalid batch width must error")
 	}
 }
+
+func TestLabelCellClipsUniformly(t *testing.T) {
+	if got := labelCell("parallel(cols)"); got != "parallel(cols)" {
+		t.Fatalf("short label altered: %q", got)
+	}
+	long := strings.Repeat("x", labelWidth+5)
+	got := labelCell(long)
+	if len([]rune(got)) != labelWidth || !strings.HasSuffix(got, "…") {
+		t.Fatalf("long label clipped to %q (%d runes)", got, len([]rune(got)))
+	}
+}

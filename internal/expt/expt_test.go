@@ -126,6 +126,26 @@ func TestAccuracyDeterministic(t *testing.T) {
 	}
 }
 
+// TestAccuracyAlphaColumnsPaired: the α columns of one Fig. 3 subplot walk
+// the same query from the same origin with the same walk seed, so two
+// series at the same α must read identically.
+func TestAccuracyAlphaColumnsPaired(t *testing.T) {
+	env := scaledEnv(t)
+	res, err := AccuracyByDistance(env, AccuracyConfig{
+		M: 30, Alphas: []float64{0.5, 0.5}, MaxDistance: 4, TTL: 10, Iterations: 30, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := res.Series[0], res.Series[1]
+	for d := range a.Hits {
+		if a.Hits[d] != b.Hits[d] || a.Samples[d] != b.Samples[d] {
+			t.Fatalf("distance %d: equal-α series read %d/%d and %d/%d hits/samples",
+				d, a.Hits[d], a.Samples[d], b.Hits[d], b.Samples[d])
+		}
+	}
+}
+
 func TestAccuracyValidation(t *testing.T) {
 	env := scaledEnv(t)
 	if _, err := AccuracyByDistance(env, AccuracyConfig{M: 0}); err == nil {

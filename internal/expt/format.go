@@ -1,11 +1,8 @@
 package expt
 
-// Engine-name label columns appear in several -exp tables (FormatDiffusion
-// and FormatTopK build derived labels like "parallel(cols)" or
-// "parallel/k=25"), and each formatter used to bound them ad hoc — so the
-// same engine could render untruncated in one table and clipped in
-// another. Every label column now goes through labelCell, which clips at
-// one shared width with one shared ellipsis convention.
+// Engine-name label columns (FormatDiffusion builds derived labels like
+// "parallel(cols)") go through labelCell, which clips them at one width
+// with one ellipsis convention.
 const labelWidth = 18
 
 // labelCell clips a row label to labelWidth runes, marking the cut with a

@@ -111,35 +111,8 @@ func NewTransition(g *Graph, norm Normalization) *Transition {
 	return t
 }
 
-// Reverse returns the transpose operator Aᵀ as a Transition over the same
-// graph, so reverse push (solving h = α·e_t + (1−α)·Aᵀ·h for the reverse
-// PPR vector of a target t) runs on the exact same CSR layout and fused
-// ApplyRow/ApplyRowAffine kernels as forward diffusion.
-//
-// Because the graph is undirected, transposition is a pure normalization
-// flip: Aᵀ[u][v] = A[v][u], so the column-stochastic operator (1/deg(v))
-// transposes to the row-stochastic one (1/deg(u)) and vice versa, and the
-// symmetric operator is self-adjoint (Reverse returns the receiver itself —
-// no new weights array). The graph is shared; only the normalizers and the
-// CSR-aligned weights are rebuilt (one O(n+|E|) pass, same cost as
-// NewTransition), and Reverse∘Reverse reproduces the original weights
-// bit-for-bit.
-func (t *Transition) Reverse() *Transition {
-	switch t.norm {
-	case ColumnStochastic:
-		return NewTransition(t.g, RowStochastic)
-	case RowStochastic:
-		return NewTransition(t.g, ColumnStochastic)
-	default: // Symmetric: A = Aᵀ
-		return t
-	}
-}
-
 // Graph returns the underlying graph.
 func (t *Transition) Graph() *Graph { return t.g }
-
-// Kind returns the normalization in effect.
-func (t *Transition) Kind() Normalization { return t.norm }
 
 // Weight returns A[u][v] for the edge {u,v}. The caller must pass an actual
 // edge; the weight of a non-edge is 0 by definition but is not checked here

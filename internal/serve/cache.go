@@ -9,8 +9,9 @@ import (
 // Key fingerprints a query embedding exactly: the raw IEEE-754 bit pattern
 // of every component, little-endian, as a string. Two queries share a key
 // iff they are bitwise identical, so cache lookups and in-batch dedup can
-// never alias distinct queries (unlike a fixed-width hash). The peerd memo
-// used the same encoding before the scheduler replaced it.
+// never alias distinct queries (unlike a fixed-width hash). The scheduling
+// class is deliberately not part of the key: the same query yields the
+// same scores whatever its class, so sharing a column is correct.
 func Key(query []float64) string {
 	b := make([]byte, 0, len(query)*8)
 	for _, x := range query {
@@ -18,31 +19,6 @@ func Key(query []float64) string {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 	}
-	return string(b)
-}
-
-// RankedKey fingerprints a top-k submission: the query's exact Key bytes,
-// then k as eight little-endian bytes, then a 'K' tag byte. A plain Key is
-// always a multiple of 8 bytes long while a RankedKey is 8m+9 — never a
-// multiple of 8 — so a ranked submission can never alias a full-vector one
-// (no (query', k') concatenation collides with any plain query's bit
-// pattern), and distinct k values differ in the k bytes. Ranked results
-// are not cached (the LRU stores only full-vector columns), but the key
-// still partitions in-batch dedup: identical (query, k) submissions
-// coalesce into one ranked column. Class is deliberately NOT part of
-// either key — the same query yields the same scores regardless of
-// scheduling class, so sharing is correct. TestRankedKeyNeverAliases pins
-// all of this.
-func RankedKey(query []float64, k int) string {
-	b := make([]byte, 0, len(query)*8+9)
-	for _, x := range query {
-		v := math.Float64bits(x)
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	v := uint64(k)
-	b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56), 'K')
 	return string(b)
 }
 
@@ -130,8 +106,7 @@ func (c *lru) putAt(gen uint64, key string, scores []float64) {
 
 // entryBytes is one entry's payload: the key string plus its score
 // column (8 bytes per float64). Container overhead is deliberately not
-// modelled — the gauge tracks what the cached data itself costs, the
-// same contract as walkindex.StoreBytes.
+// modelled — the gauge tracks what the cached data itself costs.
 func entryBytes(e *lruEntry) int64 {
 	return int64(len(e.key)) + 8*int64(len(e.scores))
 }

@@ -249,3 +249,83 @@ func TestPutAtDropsStaleGenerations(t *testing.T) {
 		t.Fatal("column scored before a targeted invalidation re-entered the cache")
 	}
 }
+
+// TestCacheBytesGauge: Stats.CacheBytes tracks the LRU payload through
+// fills, evictions, and invalidation.
+func TestCacheBytesGauge(t *testing.T) {
+	b := &stubBackend{}
+	s, err := New(b, Config{Cache: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.CacheBytes != 0 {
+		t.Fatalf("fresh cache reports %d bytes", st.CacheBytes)
+	}
+	// Each entry: 2-component query key (16 bytes) + 1 score (8 bytes).
+	const per = 16 + 8
+	for i := 0; i < 3; i++ {
+		if _, err := s.Submit(context.Background(), []float64{float64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Capacity 2: the third insert evicted the first.
+	if st := s.Stats(); st.CacheBytes != 2*per {
+		t.Fatalf("CacheBytes = %d, want %d", st.CacheBytes, 2*per)
+	}
+	s.InvalidateCache()
+	if st := s.Stats(); st.CacheBytes != 0 {
+		t.Fatalf("CacheBytes after clear = %d, want 0", st.CacheBytes)
+	}
+}
+
+// TestInvalidateNodesBoundary pins the ≥ contract: a cached column whose
+// mass at a patched node is EXACTLY invalidateEps must drop (the old
+// strict > kept it serving stale scores).
+func TestInvalidateNodesBoundary(t *testing.T) {
+	c := newLRU(4)
+	c.putAt(c.generation(), "at", []float64{0, invalidateEps, 0})
+	c.putAt(c.generation(), "below", []float64{0, invalidateEps / 2, 0})
+	c.putAt(c.generation(), "neg", []float64{0, -invalidateEps, 0})
+
+	s := &Scheduler{cache: c}
+	if dropped := s.InvalidateNodes([]int{1}); dropped != 2 {
+		t.Fatalf("dropped %d columns, want 2 (both ±eps boundaries)", dropped)
+	}
+	if _, ok := c.get("at"); ok {
+		t.Fatal("column with mass exactly at invalidateEps survived")
+	}
+	if _, ok := c.get("neg"); ok {
+		t.Fatal("column with mass exactly at -invalidateEps survived")
+	}
+	if _, ok := c.get("below"); !ok {
+		t.Fatal("column safely below the threshold was dropped")
+	}
+}
+
+// TestLRUByteAccounting exercises the lru gauge directly across refresh,
+// eviction, and dropIf — putAt refreshing an entry with a different
+// column length must adjust, not double-count.
+func TestLRUByteAccounting(t *testing.T) {
+	c := newLRU(2)
+	c.putAt(c.generation(), "a", []float64{1, 2})
+	c.putAt(c.generation(), "b", []float64{3})
+	want := int64(1+16) + int64(1+8)
+	if got := c.sizeBytes(); got != want {
+		t.Fatalf("sizeBytes = %d, want %d", got, want)
+	}
+	c.putAt(c.generation(), "a", []float64{1, 2, 3}) // refresh, longer
+	want += 8
+	if got := c.sizeBytes(); got != want {
+		t.Fatalf("after refresh: sizeBytes = %d, want %d", got, want)
+	}
+	c.putAt(c.generation(), "cc", []float64{4}) // evicts LRU ("b")
+	want = int64(1+24) + int64(2+8)
+	if got := c.sizeBytes(); got != want {
+		t.Fatalf("after eviction: sizeBytes = %d, want %d", got, want)
+	}
+	c.dropIf(func([]float64) bool { return true })
+	if got := c.sizeBytes(); got != 0 {
+		t.Fatalf("after dropIf all: sizeBytes = %d, want 0", got)
+	}
+}

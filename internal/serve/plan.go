@@ -148,40 +148,3 @@ func selectBatch(buf []*pending, cfg Config) (batch, rest []*pending, promoted i
 func expired(p *pending, now time.Time) bool {
 	return !p.deadline.IsZero() && !now.Before(p.deadline)
 }
-
-// deadlinePressed reports whether a deadlined query has burned more than
-// half its wait budget (enqueue → deadline) at now: the EDF window could
-// not dispatch it comfortably, so the next miss-avoidance lever — the
-// full-vector → certified-top-k downgrade — becomes eligible.
-func deadlinePressed(p *pending, now time.Time) bool {
-	return !p.deadline.IsZero() && now.Sub(p.enq)*2 > p.deadline.Sub(p.enq)
-}
-
-// downgradeCandidateK decides at dispatch whether a deduped full-vector
-// column converts to a certified top-k answer, and at which k. Downgrade
-// is strictly opt-in and unanimous: EVERY waiter of the column must have
-// set SubmitOpts.DowngradeTopK (a column is one shared answer — one
-// waiter expecting dense scores vetoes the sparse form), and at least one
-// waiter must be deadline-pressed. The column then downgrades to the
-// largest requested k, which satisfies every opt-in (more entries filled
-// than any single waiter asked for). Returns 0 when the column dispatches
-// full-vector as usual. Pure — plan_sim tests drive it on a fake clock.
-func downgradeCandidateK(waiters []*pending, now time.Time) int {
-	k := 0
-	pressed := false
-	for _, w := range waiters {
-		if w.downgradeK <= 0 {
-			return 0
-		}
-		if w.downgradeK > k {
-			k = w.downgradeK
-		}
-		if deadlinePressed(w, now) {
-			pressed = true
-		}
-	}
-	if !pressed {
-		return 0
-	}
-	return k
-}

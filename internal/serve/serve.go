@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,35 +103,12 @@ type SubmitOpts struct {
 	// covers waiting only — a query that makes it into a dispatching batch
 	// is scored even if the diffusion finishes past the deadline.
 	Deadline time.Time
-	// DowngradeTopK, when > 0, lets the planner downgrade this full-vector
-	// query to a certified top-k answer instead of risking a deadline miss:
-	// when the query is deadline-pressed at dispatch (more than half its
-	// wait budget spent — see deadlinePressed) and every waiter deduped
-	// onto its column opted in, the column rides the cheaper ranked path
-	// (ScoreBatchTopK at this k) and the caller receives a SPARSE
-	// full-length score slice — the top-k entries hold their scores, every
-	// other node reads 0. Ignored by SubmitRanked (already ranked), by
-	// backends without ScoreBatchTopK, and until the scheduler has observed
-	// one full-vector column (it needs the column length to build the
-	// sparse answer). Downgrades are counted in Stats.Downgraded.
-	DowngradeTopK int
 }
 
 // Backend scores query batches. *core.Network satisfies it; cmd/peerd wraps
 // it with a swappable topology mirror.
 type Backend interface {
 	ScoreBatch(queries [][]float64, req core.DiffusionRequest) ([][]float64, diffuse.Stats, error)
-}
-
-// RankedBackend is the optional top-k extension of Backend: a backend that
-// also answers DiffusionRequest{TopK: k} batches with ranked candidate
-// sets. *core.Network satisfies it (through its attached topk ranker or
-// the full-vector fallback). SubmitRanked and the DowngradeTopK path
-// require it; against a Backend without it, SubmitRanked fails and
-// downgrades never fire.
-type RankedBackend interface {
-	Backend
-	ScoreBatchTopK(queries [][]float64, req core.DiffusionRequest) ([]core.RankedResult, diffuse.Stats, error)
 }
 
 // Config parameterizes a Scheduler.
@@ -171,8 +147,8 @@ type Config struct {
 	// load cannot park Bulk work forever. 0 means 4.
 	BulkEvery int
 	// OnTrace, when non-nil, receives one Trace per resolved submission:
-	// cache hits, deduped co-riders, scored/ranked/downgraded columns,
-	// shed and rejected queries, executed tasks. It is called on whichever
+	// cache hits, deduped co-riders, scored columns, shed, rejected and
+	// cancelled queries, backend errors. It is called on whichever
 	// goroutine resolves the query — the collector for dispatched paths,
 	// the submitter for admission fast paths — so implementations must be
 	// fast and must never block (a slow sink stalls the batch pipeline).
@@ -202,25 +178,20 @@ func (c Config) withDefaults() Config {
 // counter).
 type result struct {
 	scores []float64
-	ranked core.RankedResult // SubmitRanked waiters read this instead of scores
 	err    error
 	cached bool
 }
 
-// pending is one submitted query waiting to be coalesced — or, when task
-// is non-nil, a SubmitTask closure riding the same priority plan.
+// pending is one submitted query waiting to be coalesced.
 type pending struct {
-	query      []float64
-	key        string
-	task       func() // non-nil: a SubmitTask closure, never scored
-	ctx        context.Context
-	enq        time.Time
-	class      Class
-	deadline   time.Time   // zero: none
-	passes     int         // selections this query was passed over (collector-owned)
-	topk       int         // > 0: a SubmitRanked query answering top-k (key is a RankedKey)
-	downgradeK int         // > 0: full-vector query that opted into the top-k downgrade
-	done       chan result // buffered 1: dispatch never blocks on a waiter
+	query    []float64
+	key      string
+	ctx      context.Context
+	enq      time.Time
+	class    Class
+	deadline time.Time   // zero: none
+	passes   int         // selections this query was passed over (collector-owned)
+	done     chan result // buffered 1: dispatch never blocks on a waiter
 }
 
 // Scheduler coalesces concurrent Submit calls into batched diffusions.
@@ -236,7 +207,6 @@ type Scheduler struct {
 	inflight sync.WaitGroup
 	live     atomic.Int64  // callers between admission and enqueue
 	carried  atomic.Int64  // queries in the collector's carry-over window
-	colLen   atomic.Int64  // score-column length (nodes) seen at the last full dispatch; sizes downgrade answers
 	stop     chan struct{} // closed at Close entry: cuts any open hold short
 	loopDone chan struct{}
 
@@ -323,8 +293,7 @@ func (s *Scheduler) SubmitWith(ctx context.Context, query []float64, opts Submit
 	p := &pending{
 		query: query, key: key, ctx: ctx, enq: time.Now(),
 		class: opts.Class, deadline: opts.Deadline,
-		downgradeK: opts.DowngradeTopK,
-		done:       make(chan result, 1),
+		done: make(chan result, 1),
 	}
 	select {
 	case s.submit <- p:
@@ -376,163 +345,6 @@ func (s *Scheduler) SubmitWith(ctx context.Context, query []float64, opts Submit
 	}
 }
 
-// SubmitRanked scores one query through the coalescing pipeline and
-// resolves to its top-k document hosts instead of a full score vector.
-// Ranked submissions ride the same admission, priority, and deadline
-// machinery as SubmitWith (opts.DowngradeTopK is ignored — the query is
-// already ranked), and same-k duplicates coalesce: at dispatch, all
-// ranked columns of one k join one ScoreBatchTopK call, separate from the
-// full-vector batch (the per-column early-stop state is per-k). Ranked
-// results are never cached — the LRU stores only full-vector columns, and
-// RankedKey can never alias a plain Key — so every SubmitRanked is
-// answered by a live (bidirectionally pruned) diffusion. Requires a
-// backend implementing RankedBackend.
-func (s *Scheduler) SubmitRanked(ctx context.Context, query []float64, k int, opts SubmitOpts) (core.RankedResult, error) {
-	if k <= 0 {
-		return core.RankedResult{}, fmt.Errorf("serve: SubmitRanked requires k > 0, have %d", k)
-	}
-	if _, ok := s.backend.(RankedBackend); !ok {
-		return core.RankedResult{}, fmt.Errorf("serve: backend %T does not support ranked queries", s.backend)
-	}
-	if err := ctx.Err(); err != nil {
-		return core.RankedResult{}, err
-	}
-	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
-		s.m.deadlineMissed()
-		s.trace(Trace{Path: PathShed, Class: opts.Class, Err: ErrDeadlineMissed})
-		return core.RankedResult{}, ErrDeadlineMissed
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return core.RankedResult{}, ErrClosed
-	}
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	defer s.inflight.Done()
-	s.live.Add(1)
-
-	p := &pending{
-		query: query, key: RankedKey(query, k), ctx: ctx, enq: time.Now(),
-		class: opts.Class, deadline: opts.Deadline, topk: k,
-		done: make(chan result, 1),
-	}
-	select {
-	case s.submit <- p:
-		s.live.Add(-1)
-	default:
-		var expiry <-chan time.Time
-		if !p.deadline.IsZero() {
-			t := time.NewTimer(time.Until(p.deadline))
-			defer t.Stop()
-			expiry = t.C
-		}
-		select {
-		case s.submit <- p:
-			s.live.Add(-1)
-		case <-ctx.Done():
-			s.live.Add(-1)
-			s.m.rejected()
-			s.trace(Trace{Path: PathRejected, Class: p.class, Wait: time.Since(p.enq), Err: ctx.Err()})
-			return core.RankedResult{}, ctx.Err()
-		case <-expiry:
-			s.live.Add(-1)
-			s.m.deadlineMissed()
-			s.trace(Trace{Path: PathShed, Class: p.class, Wait: time.Since(p.enq), Err: ErrDeadlineMissed})
-			return core.RankedResult{}, ErrDeadlineMissed
-		}
-	}
-	s.m.submitted()
-	select {
-	case r := <-p.done:
-		if r.err != nil {
-			return core.RankedResult{}, r.err
-		}
-		s.m.completed()
-		return r.ranked, nil
-	case <-ctx.Done():
-		return core.RankedResult{}, ctx.Err()
-	}
-}
-
-// SubmitTask runs fn on the scheduler's collector goroutine under the
-// priority plan and blocks until it ran, the context cancelled, or the
-// scheduler closed. A task occupies one slot of a coalesced batch but is
-// never scored, cached, or deduplicated: it rides the window exactly as
-// a query of its class would — a Bulk task waits out BulkMaxWait, is
-// elevated by the starvation valve like any Bulk member, and is shed
-// past its deadline with ErrDeadlineMissed — and executes after the
-// batch's waiters resolve, so it never adds latency to the queries it
-// dispatched with. This is how background maintenance (the walk-index
-// refresher's segment rebuilds) shares the scheduler without displacing
-// Interactive traffic.
-//
-// Cancellation is best-effort: the collector drops a cancelled task both
-// at batch assembly and again immediately before invoking fn, but a
-// cancel that lands once fn is already running cannot stop it — fn may
-// still execute (and complete) after SubmitTask has returned ctx.Err().
-// Closures must therefore not capture state the caller frees on
-// cancellation; make fn safe to run at any point after submission.
-func (s *Scheduler) SubmitTask(ctx context.Context, opts SubmitOpts, fn func()) error {
-	if fn == nil {
-		return fmt.Errorf("serve: nil task")
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
-		s.m.deadlineMissed()
-		s.trace(Trace{Path: PathShed, Class: opts.Class, Err: ErrDeadlineMissed})
-		return ErrDeadlineMissed
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	defer s.inflight.Done()
-	s.live.Add(1)
-
-	p := &pending{
-		task: fn, ctx: ctx, enq: time.Now(),
-		class: opts.Class, deadline: opts.Deadline,
-		done: make(chan result, 1),
-	}
-	select {
-	case s.submit <- p:
-		s.live.Add(-1)
-	default:
-		var expiry <-chan time.Time
-		if !p.deadline.IsZero() {
-			t := time.NewTimer(time.Until(p.deadline))
-			defer t.Stop()
-			expiry = t.C
-		}
-		select {
-		case s.submit <- p:
-			s.live.Add(-1)
-		case <-ctx.Done():
-			s.live.Add(-1)
-			s.m.rejected()
-			s.trace(Trace{Path: PathRejected, Class: p.class, Wait: time.Since(p.enq), Err: ctx.Err()})
-			return ctx.Err()
-		case <-expiry:
-			s.live.Add(-1)
-			s.m.deadlineMissed()
-			s.trace(Trace{Path: PathShed, Class: p.class, Wait: time.Since(p.enq), Err: ErrDeadlineMissed})
-			return ErrDeadlineMissed
-		}
-	}
-	select {
-	case r := <-p.done:
-		return r.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Warm scores a whole query batch in one diffusion through the scheduler's
 // request and fills the cache, so subsequent Submits for these queries are
 // cache hits. It bypasses coalescing (ScoreBatch is safe to run alongside
@@ -549,9 +361,6 @@ func (s *Scheduler) Warm(queries [][]float64) (diffuse.Stats, error) {
 	}
 	for j, q := range queries {
 		s.cache.putAt(gen, Key(q), scores[j])
-	}
-	if len(scores) > 0 {
-		s.colLen.Store(int64(len(scores[0])))
 	}
 	s.m.dispatched(len(queries), 0, len(queries), st)
 	return st, nil
@@ -810,7 +619,6 @@ func (s *Scheduler) dispatch(batch []*pending) {
 	start := time.Now()
 	groups := make(map[string][]*pending, len(batch))
 	uniq := make([]*pending, 0, len(batch)) // arrival-ordered representatives
-	var tasks []*pending
 	for _, p := range batch {
 		if p.ctx.Err() != nil {
 			// The caller gave up mid-coalesce: drop it before dispatch so
@@ -819,36 +627,16 @@ func (s *Scheduler) dispatch(batch []*pending) {
 			s.trace(Trace{Path: PathCancelled, Class: p.class, Wait: start.Sub(p.enq), Err: p.ctx.Err()})
 			continue
 		}
-		if p.task != nil {
-			// Tasks skip the cache and dedup (there is nothing to score)
-			// but honour deadline shedding like any batch member; they
-			// execute after the batch's waiters resolve.
-			if expired(p, start) {
-				s.m.deadlineMissed()
-				s.trace(Trace{Path: PathShed, Class: p.class, Wait: start.Sub(p.enq), Err: ErrDeadlineMissed})
-				p.done <- result{err: ErrDeadlineMissed}
-				continue
-			}
+		if scores, ok := s.cache.get(p.key); ok {
+			// Scored while queued (a Warm or an earlier batch landed it);
+			// the waiter's Submit counts the cache hit when it resolves.
+			// Checked before the deadline, like the admission fast path: a
+			// cache hit costs no diffusion, so it is served even at or past
+			// the deadline — shedding protects only the scoring path.
 			s.m.waited(start.Sub(p.enq), p.class)
-			tasks = append(tasks, p)
+			s.trace(Trace{Path: PathCacheHit, Class: p.class, Wait: start.Sub(p.enq)})
+			p.done <- result{scores: scores, cached: true}
 			continue
-		}
-		if p.topk == 0 {
-			if scores, ok := s.cache.get(p.key); ok {
-				// Scored while queued (a Warm or an earlier batch landed it);
-				// the waiter's Submit counts the cache hit when it resolves.
-				// Checked before the deadline, like the admission fast path: a
-				// cache hit costs no diffusion, so it is served even at or past
-				// the deadline — shedding protects only the scoring path.
-				// Ranked queries skip the lookup entirely: the cache holds
-				// only full-vector columns and a RankedKey can never alias
-				// one, so a cached column is never returned for a top-k
-				// request.
-				s.m.waited(start.Sub(p.enq), p.class)
-				s.trace(Trace{Path: PathCacheHit, Class: p.class, Wait: start.Sub(p.enq)})
-				p.done <- result{scores: scores, cached: true}
-				continue
-			}
 		}
 		if expired(p, start) {
 			// Deadline-miss shedding: the window could not dispatch this
@@ -867,165 +655,47 @@ func (s *Scheduler) dispatch(batch []*pending) {
 		uniq = append(uniq, p)
 	}
 	if len(uniq) == 0 {
-		// A batch of only tasks (or only cache hits and tasks) still runs
-		// its tasks — no diffusion needed.
-		s.runTasks(tasks)
 		return
 	}
 
-	// Partition the unique columns: full-vector columns go to one
-	// ScoreBatch; ranked columns coalesce per k (the per-column early-stop
-	// state is per-k, so same-k columns share one ScoreBatchTopK); and
-	// deadline-pressed full-vector columns whose every waiter opted in
-	// downgrade onto the ranked path of their agreed k (see
-	// downgradeCandidateK). Downgrades need the ranked backend and a known
-	// column length to build the sparse answer.
-	rb, rbOK := s.backend.(RankedBackend)
-	colLen := int(s.colLen.Load())
-	var full []*pending
-	ranked := make(map[int][]*pending)
-	downgrades := make(map[int][]*pending)
-	for _, p := range uniq {
-		switch {
-		case p.topk > 0:
-			ranked[p.topk] = append(ranked[p.topk], p)
-		case rbOK && colLen > 0:
-			if k := downgradeCandidateK(groups[p.key], start); k > 0 {
-				downgrades[k] = append(downgrades[k], p)
-				continue
-			}
-			full = append(full, p)
-		default:
-			full = append(full, p)
-		}
+	queries := make([][]float64, len(uniq))
+	nInteractive, nBulk := s.classVote(uniq, groups, queries)
+	req := s.cfg.Request
+	req.Class = Interactive
+	if nInteractive == 0 {
+		req.Class = Bulk
 	}
-
-	if len(full) > 0 {
-		queries := make([][]float64, len(full))
-		nInteractive, nBulk := s.classVote(full, groups, queries)
-		req := s.cfg.Request
-		req.Class = Interactive
-		if nInteractive == 0 {
-			req.Class = Bulk
-		}
-		// Capture the cache generation before scoring: an invalidation that
-		// lands while the backend diffuses (e.g. a topology patch swapping the
-		// backend's mirror) makes these columns stale, and putAt then drops
-		// them instead of re-caching pre-patch answers (waiters still get the
-		// scores — their query raced the patch, either ordering is valid).
-		gen := s.cache.generation()
-		scoreStart := time.Now()
-		scores, st, err := s.backend.ScoreBatch(queries, req)
-		scoreDur := time.Since(scoreStart)
-		if err != nil {
-			s.m.failed(len(full))
-			for _, p := range full {
-				for _, w := range groups[p.key] {
-					s.trace(Trace{Path: PathError, Class: w.class, Wait: start.Sub(w.enq), Score: scoreDur, Batch: len(full), Err: err})
-					w.done <- result{err: err}
-				}
-			}
-		} else {
-			s.m.dispatched(len(full), nInteractive, nBulk, st)
-			s.colLen.Store(int64(len(scores[0])))
-			for i, p := range full {
-				s.cache.putAt(gen, p.key, scores[i])
-				for _, w := range groups[p.key] {
-					path := PathDedup
-					if w == p {
-						path = PathScored
-					}
-					s.trace(Trace{Path: path, Class: w.class, Wait: start.Sub(w.enq), Score: scoreDur, Batch: len(full), Sweeps: st.Sweeps})
-					w.done <- result{scores: scores[i]}
-				}
-			}
-		}
-	}
-
-	// Ranked groups dispatch in ascending k for determinism. Each group is
-	// the coalesced ranked columns of its k plus any downgraded columns
-	// that agreed on it; a group's failure resolves only its own waiters.
-	ks := make([]int, 0, len(ranked)+len(downgrades))
-	for k := range ranked {
-		ks = append(ks, k)
-	}
-	for k := range downgrades {
-		if _, dup := ranked[k]; !dup {
-			ks = append(ks, k)
-		}
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		cols := append(append([]*pending(nil), ranked[k]...), downgrades[k]...)
-		if !rbOK {
-			// SubmitRanked rejects this at admission, so only a backend swap
-			// racing the queue can land here; resolve rather than hang.
-			err := fmt.Errorf("serve: backend %T does not support ranked queries", s.backend)
-			s.m.failed(len(cols))
-			for _, p := range cols {
-				for _, w := range groups[p.key] {
-					s.trace(Trace{Path: PathError, Class: w.class, Wait: start.Sub(w.enq), Batch: len(cols), Err: err})
-					w.done <- result{err: err}
-				}
-			}
-			continue
-		}
-		queries := make([][]float64, len(cols))
-		nInteractive, nBulk := s.classVote(cols, groups, queries)
-		req := s.cfg.Request
-		req.TopK = k
-		req.Class = Interactive
-		if nInteractive == 0 {
-			req.Class = Bulk
-		}
-		scoreStart := time.Now()
-		results, st, err := rb.ScoreBatchTopK(queries, req)
-		scoreDur := time.Since(scoreStart)
-		if err != nil {
-			s.m.failed(len(cols))
-			for _, p := range cols {
-				for _, w := range groups[p.key] {
-					s.trace(Trace{Path: PathError, Class: w.class, Wait: start.Sub(w.enq), Score: scoreDur, Batch: len(cols), Err: err})
-					w.done <- result{err: err}
-				}
-			}
-			continue
-		}
-		s.m.dispatched(len(cols), nInteractive, nBulk, st)
-		s.m.ranked(len(ranked[k]), len(downgrades[k]))
-		for i, p := range cols {
-			if p.topk > 0 {
-				for _, w := range groups[p.key] {
-					path := PathDedup
-					if w == p {
-						path = PathRanked
-					}
-					s.trace(Trace{Path: path, Class: w.class, Wait: start.Sub(w.enq), Score: scoreDur, Batch: len(cols), Sweeps: st.Sweeps})
-					w.done <- result{ranked: results[i]}
-				}
-				continue
-			}
-			// A downgraded column's waiters asked for a full vector: expand
-			// the ranked answer to a sparse full-length slice (top-k entries
-			// filled, the rest 0). Never cached — it is not the column a
-			// plain dispatch would have produced.
-			sparse := make([]float64, colLen)
-			for j, id := range results[i].IDs {
-				if int(id) < len(sparse) {
-					sparse[int(id)] = results[i].Scores[j]
-				}
-			}
+	// Capture the cache generation before scoring: an invalidation that
+	// lands while the backend diffuses (e.g. a topology patch swapping the
+	// backend's mirror) makes these columns stale, and putAt then drops
+	// them instead of re-caching pre-patch answers (waiters still get the
+	// scores — their query raced the patch, either ordering is valid).
+	gen := s.cache.generation()
+	scoreStart := time.Now()
+	scores, st, err := s.backend.ScoreBatch(queries, req)
+	scoreDur := time.Since(scoreStart)
+	if err != nil {
+		s.m.failed(len(uniq))
+		for _, p := range uniq {
 			for _, w := range groups[p.key] {
-				path := PathDedup
-				if w == p {
-					path = PathDowngraded
-				}
-				s.trace(Trace{Path: path, Class: w.class, Wait: start.Sub(w.enq), Score: scoreDur, Batch: len(cols), Sweeps: st.Sweeps})
-				w.done <- result{scores: sparse}
+				s.trace(Trace{Path: PathError, Class: w.class, Wait: start.Sub(w.enq), Score: scoreDur, Batch: len(uniq), Err: err})
+				w.done <- result{err: err}
 			}
 		}
+		return
 	}
-	s.runTasks(tasks)
+	s.m.dispatched(len(uniq), nInteractive, nBulk, st)
+	for i, p := range uniq {
+		s.cache.putAt(gen, p.key, scores[i])
+		for _, w := range groups[p.key] {
+			path := PathDedup
+			if w == p {
+				path = PathScored
+			}
+			s.trace(Trace{Path: path, Class: w.class, Wait: start.Sub(w.enq), Score: scoreDur, Batch: len(uniq), Sweeps: st.Sweeps})
+			w.done <- result{scores: scores[i]}
+		}
+	}
 }
 
 // classVote fills queries from each column's pending and tallies column
@@ -1049,27 +719,4 @@ func (s *Scheduler) classVote(cols []*pending, groups map[string][]*pending, que
 		}
 	}
 	return nInteractive, nBulk
-}
-
-// runTasks executes the batch's SubmitTask closures serially on the
-// collector goroutine, after every scored waiter has been resolved:
-// maintenance work (walk-index rebuilds) is pure tail latency for the
-// scheduler, never for the queries it coalesced with. Each closure
-// re-checks its caller's context first — dispatch pruned cancelled
-// members at batch assembly, but scoring ran in between, and a caller
-// whose SubmitTask already returned ctx.Err() may have moved on from
-// the state fn captures.
-func (s *Scheduler) runTasks(tasks []*pending) {
-	for _, p := range tasks {
-		if p.ctx.Err() != nil {
-			s.m.cancelled()
-			s.trace(Trace{Path: PathCancelled, Class: p.class, Wait: time.Since(p.enq), Err: p.ctx.Err()})
-			p.done <- result{err: p.ctx.Err()}
-			continue
-		}
-		p.task()
-		s.m.taskRan()
-		s.trace(Trace{Path: PathTask, Class: p.class, Wait: time.Since(p.enq)})
-		p.done <- result{}
-	}
 }

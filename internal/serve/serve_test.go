@@ -652,3 +652,121 @@ func TestCollectCoalescesConcurrentWaves(t *testing.T) {
 			st.Batches, total, st.MeanBatch(), st.HistString())
 	}
 }
+
+// TestPressedDeadlineQueryStillScoresDense: a deadlined query that burned
+// more than half its wait budget queued behind a slow diffusion still
+// dispatches before its deadline and receives its dense full-vector
+// column, with no miss counted; a query without a deadline behind it
+// scores the same way. A Warm beforehand counts as one dispatched batch.
+func TestPressedDeadlineQueryStillScoresDense(t *testing.T) {
+	b := &stubBackend{}
+	s := newTestScheduler(t, b, Config{Cache: 0})
+	if _, err := s.Warm([][]float64{q(9)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Batches != 1 || st.QueriesScored != 1 {
+		t.Fatalf("Warm stats %v, want one batch of one column", st)
+	}
+	b.gate = make(chan struct{})
+	b.entered = make(chan struct{}, 8)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the slow diffusion the pressed query queues behind
+		defer wg.Done()
+		if _, err := s.Submit(context.Background(), q(1)); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-b.entered
+
+	const budget = 600 * time.Millisecond
+	var scores []float64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		scores, err = s.SubmitWith(context.Background(), q(2, 3), SubmitOpts{Deadline: time.Now().Add(budget)})
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	waitStats(t, s, func(st Stats) bool { return st.Submitted == 2 })
+	// Burn past half the wait budget, then let the blocker finish well
+	// inside the remaining half so the pressed query dispatches (not sheds).
+	time.Sleep(budget/2 + 50*time.Millisecond)
+	b.release()
+	b.release() // the pressed query's own batch
+	wg.Wait()
+
+	if len(scores) != 1 || scores[0] != 5 {
+		t.Fatalf("pressed query scores %v, want dense [5]", scores)
+	}
+	if st := s.Stats(); st.DeadlineMissed != 0 || st.Batches != 3 {
+		t.Fatalf("stats %v, want three batches and no misses", st)
+	}
+
+	// Control: a query with no deadline. Disarm the gate first (the
+	// collector is idle, so the submit-channel handoff orders this write
+	// before the backend's next read).
+	b.gate = nil
+	scores, err := s.SubmitWith(context.Background(), q(4), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scores) != 1 || scores[0] != 4 {
+		t.Fatalf("undeadlined scores %v, want dense [4]", scores)
+	}
+}
+
+// TestDeadlinedAndPlainWaitersShareDenseColumn: a column shared between a
+// deadline-pressed waiter and a plain waiter dispatches once, full-vector,
+// and both waiters read the same dense scores.
+func TestDeadlinedAndPlainWaitersShareDenseColumn(t *testing.T) {
+	b := &stubBackend{}
+	s := newTestScheduler(t, b, Config{Cache: 0})
+	b.gate = make(chan struct{})
+	b.entered = make(chan struct{}, 8)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := s.Submit(context.Background(), q(1)); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-b.entered
+
+	shared := q(6, 7)
+	const budget = 600 * time.Millisecond
+	results := make([][]float64, 2)
+	for i, opts := range []SubmitOpts{{Deadline: time.Now().Add(budget)}, {}} {
+		wg.Add(1)
+		go func(i int, opts SubmitOpts) {
+			defer wg.Done()
+			var err error
+			results[i], err = s.SubmitWith(context.Background(), shared, opts)
+			if err != nil {
+				t.Error(err)
+			}
+		}(i, opts)
+	}
+	waitStats(t, s, func(st Stats) bool { return st.Submitted == 3 })
+	time.Sleep(budget/2 + 50*time.Millisecond)
+	b.release()
+	b.release() // the shared column dispatches as one full-vector batch
+	wg.Wait()
+
+	for i, scores := range results {
+		if len(scores) != 1 || scores[0] != 13 {
+			t.Fatalf("waiter %d scores %v, want dense [13]", i, scores)
+		}
+	}
+	if st := s.Stats(); st.DeadlineMissed != 0 || st.QueriesScored != 2 {
+		t.Fatalf("stats %v, want two scored columns and no misses", st)
+	}
+	if widths := b.batchWidths(); len(widths) != 2 || widths[1] != 1 {
+		t.Fatalf("batch widths %v, want the shared column scored once", widths)
+	}
+}

@@ -91,23 +91,9 @@ type Stats struct {
 	// second bookkeeper.
 	MessagesTotal uint64
 
-	// TasksRun counts SubmitTask closures executed on the collector
-	// (background maintenance such as walk-index segment rebuilds).
-	TasksRun uint64
-
-	// RankedScored counts SubmitRanked columns diffused through the
-	// ranked (top-k) path; Downgraded counts full-vector columns the
-	// planner converted to certified top-k answers under deadline
-	// pressure (their waiters received sparse full-length slices). Both
-	// are column counts after dedup, like QueriesScored — which includes
-	// them.
-	RankedScored uint64
-	Downgraded   uint64
-
 	// CacheBytes is the LRU score cache's live payload size at snapshot
 	// time (keys plus score columns) — the memory the Cache entry bound
-	// actually admitted, reported in bytes like walkindex.StoreBytes so
-	// capacity planning sees both memory-bounded structures in one unit.
+	// actually admitted, in bytes.
 	CacheBytes int64
 }
 
@@ -166,12 +152,6 @@ func (s Stats) String() string {
 	}
 	if s.CacheBytes > 0 {
 		line += fmt.Sprintf(" cache_bytes=%d", s.CacheBytes)
-	}
-	if s.TasksRun > 0 {
-		line += fmt.Sprintf(" tasks_run=%d", s.TasksRun)
-	}
-	if s.RankedScored > 0 || s.Downgraded > 0 {
-		line += fmt.Sprintf(" ranked=%d downgraded=%d", s.RankedScored, s.Downgraded)
 	}
 	if s.QueueDepth > 0 {
 		line += fmt.Sprintf(" queue_depth=%d", s.QueueDepth)
@@ -261,18 +241,6 @@ func (m *metrics) rejected()  { m.mu.Lock(); m.s.Rejected++; m.mu.Unlock() }
 func (m *metrics) cacheHit()  { m.mu.Lock(); m.s.CacheHits++; m.mu.Unlock() }
 
 func (m *metrics) deadlineMissed() { m.mu.Lock(); m.s.DeadlineMissed++; m.mu.Unlock() }
-
-// taskRan records one SubmitTask closure executed by the collector.
-func (m *metrics) taskRan() { m.mu.Lock(); m.s.TasksRun++; m.mu.Unlock() }
-
-// ranked records one ranked dispatch group: its SubmitRanked columns and
-// the full-vector columns downgraded onto it.
-func (m *metrics) ranked(cols, downgraded int) {
-	m.mu.Lock()
-	m.s.RankedScored += uint64(cols)
-	m.s.Downgraded += uint64(downgraded)
-	m.mu.Unlock()
-}
 
 // promoted records Bulk queries crossing the starvation bound.
 func (m *metrics) promoted(n int) {

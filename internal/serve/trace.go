@@ -17,12 +17,6 @@ const (
 	// PathDedup: coalesced onto another waiter's identical column — the
 	// query rode a batch but cost no column of its own.
 	PathDedup Path = "dedup"
-	// PathRanked: the representative column of a top-k (SubmitRanked)
-	// dispatch group.
-	PathRanked Path = "ranked"
-	// PathDowngraded: a full-vector column the planner converted to a
-	// certified top-k answer under deadline pressure.
-	PathDowngraded Path = "downgraded"
 	// PathShed: deadline expired before dispatch (ErrDeadlineMissed).
 	PathShed Path = "shed"
 	// PathRejected: the caller gave up while the bounded queue was full
@@ -30,8 +24,6 @@ const (
 	PathRejected Path = "rejected"
 	// PathCancelled: the caller's context cancelled before dispatch.
 	PathCancelled Path = "cancelled"
-	// PathTask: a SubmitTask closure executed on the collector.
-	PathTask Path = "task"
 	// PathError: the backend call for the query's batch failed.
 	PathError Path = "error"
 )
@@ -39,8 +31,8 @@ const (
 // Paths lists every attribution value, in display order — for
 // pre-registering per-path metric series.
 var Paths = []Path{
-	PathCacheHit, PathScored, PathDedup, PathRanked, PathDowngraded,
-	PathShed, PathRejected, PathCancelled, PathTask, PathError,
+	PathCacheHit, PathScored, PathDedup,
+	PathShed, PathRejected, PathCancelled, PathError,
 }
 
 // Trace is one submission's end-to-end serving record, delivered to
@@ -48,9 +40,7 @@ var Paths = []Path{
 // dispatch start (what MaxWait bounds; zero for admission fast paths),
 // Score the backend call of the batch the query rode (shared by every
 // co-rider, zero for unscored paths). Batch is that batch's column
-// width and Sweeps its whole-batch diffusion rounds — a walkindex-backed
-// batch fully answered from warm segments reports Sweeps == 0, so the
-// sink can split warm from cold finishes.
+// width and Sweeps its whole-batch diffusion rounds.
 type Trace struct {
 	Path   Path
 	Class  Class

@@ -56,8 +56,8 @@ func TestTraceAttribution(t *testing.T) {
 		SubmitOpts{Deadline: time.Now().Add(-time.Second)}); err != ErrDeadlineMissed {
 		t.Fatalf("DOA submit: %v", err)
 	}
-	// A task rides the batch machinery.
-	if err := s.SubmitTask(context.Background(), SubmitOpts{}, func() {}); err != nil {
+	// A Bulk query rides the batch machinery as a scored column of its own.
+	if _, err := s.SubmitWith(context.Background(), []float64{8, 8, 8}, SubmitOpts{Class: Bulk}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,12 +87,14 @@ func TestTraceAttribution(t *testing.T) {
 	wg.Wait()
 
 	got := sink.byPath()
-	if n := len(got[PathScored]); n != 1 {
-		t.Fatalf("scored traces: %d, want 1 (%v)", n, got)
+	if n := len(got[PathScored]); n != 2 {
+		t.Fatalf("scored traces: %d, want 2 (%v)", n, got)
 	}
-	sc := got[PathScored][0]
-	if sc.Batch != 1 || sc.Sweeps != 5 || sc.Score <= 0 {
-		t.Fatalf("scored trace misattributed: %+v", sc)
+	for i, sc := range got[PathScored] {
+		want := []Class{Interactive, Bulk}[i]
+		if sc.Batch != 1 || sc.Sweeps != 5 || sc.Score <= 0 || sc.Class != want {
+			t.Fatalf("scored trace %d misattributed (want class %v): %+v", i, want, sc)
+		}
 	}
 	if n := len(got[PathCacheHit]); n != 1 {
 		t.Fatalf("cache_hit traces: %d, want 1", n)
@@ -102,9 +104,6 @@ func TestTraceAttribution(t *testing.T) {
 	}
 	if n := len(got[PathShed]); n != 1 || got[PathShed][0].Err != ErrDeadlineMissed {
 		t.Fatalf("shed traces wrong: %v", got[PathShed])
-	}
-	if n := len(got[PathTask]); n != 1 {
-		t.Fatalf("task traces: %d, want 1", n)
 	}
 
 	got2 := sink2.byPath()

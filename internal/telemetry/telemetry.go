@@ -18,7 +18,7 @@
 // sites need no setup-order coordination. A name is permanently bound to
 // its first kind; re-registering it under another kind is a programmer
 // error and panics. For series whose label values are only known at
-// scrape time (scheduler stats, store gauges), register a
+// scrape time (scheduler stats, routing-filter state), register a
 // Producer callback instead of mirroring every update into the registry.
 package telemetry
 
@@ -116,16 +116,6 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	return f.metric(renderLabels(labels), func() metric { return &Gauge{} }).(*Gauge)
 }
 
-// GaugeFunc registers a gauge whose value is read from fn at exposition
-// time — the natural fit for state the owner already tracks (pool
-// workers, store bytes). fn must be safe to call from the scrape
-// goroutine. A second registration under the same name and labels keeps
-// the first fn.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	f := r.family(name, help, kindGauge)
-	f.metric(renderLabels(labels), func() metric { return gaugeFunc{fn} })
-}
-
 // Histogram returns the fixed-bucket histogram registered under name,
 // creating it on first use with the given ascending upper bounds (an
 // implicit +Inf bucket is always appended). A second registration under
@@ -193,12 +183,6 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *Gauge) sampleInto(dst []sample, name, labels string) []sample {
 	return append(dst, sample{name, labels, g.Value()})
-}
-
-type gaugeFunc struct{ fn func() float64 }
-
-func (g gaugeFunc) sampleInto(dst []sample, name, labels string) []sample {
-	return append(dst, sample{name, labels, g.fn()})
 }
 
 // Histogram counts observations into fixed ascending buckets (upper

@@ -88,7 +88,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		w.Observe(float64(i))
 	}
-	r.GaugeFunc("ds_workers", "Pool size.", func() float64 { return 3 })
 	r.Producer(func(e *Emitter) {
 		e.Gauge("ds_coverage", "Segment coverage.", 0.25, "tenant", "local")
 		e.Counter("ds_queries_total", "Queries served.", 2, "tenant", "beta")
@@ -119,9 +118,6 @@ ds_wait_seconds{quantile="0.9"} 4
 ds_wait_seconds{quantile="0.99"} 4
 ds_wait_seconds_sum 10
 ds_wait_seconds_count 4
-# HELP ds_workers Pool size.
-# TYPE ds_workers gauge
-ds_workers 3
 `
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
