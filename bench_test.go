@@ -281,10 +281,6 @@ func BenchmarkFastNodeScores(b *testing.B) {
 // BenchmarkFastNodeScores to see the amortization (tracked in
 // BENCH_diffuse.json via cmd/benchjson).
 func benchmarkScoreBatch(b *testing.B, batchSize int) {
-	benchmarkScoreBatchTiled(b, batchSize, 0)
-}
-
-func benchmarkScoreBatchTiled(b *testing.B, batchSize, colTile int) {
 	env := benchEnvironment(b)
 	net := core.NewNetwork(env.Graph, env.Bench.Vocabulary())
 	r := randx.New(6)
@@ -300,7 +296,7 @@ func benchmarkScoreBatchTiled(b *testing.B, batchSize, colTile int) {
 	for j := range queries {
 		queries[j] = env.Bench.Vocabulary().Vector(env.Bench.SamplePair(r).Query)
 	}
-	req := core.DiffusionRequest{Alpha: 0.5, Seed: 6, ColTile: colTile}
+	req := core.DiffusionRequest{Alpha: 0.5, Seed: 6}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,15 +310,11 @@ func BenchmarkScoreBatch1(b *testing.B)  { benchmarkScoreBatch(b, 1) }
 func BenchmarkScoreBatch8(b *testing.B)  { benchmarkScoreBatch(b, 8) }
 func BenchmarkScoreBatch64(b *testing.B) { benchmarkScoreBatch(b, 64) }
 
-// BenchmarkScoreBatchWide256 drives the multi-tile column plan: one B=256
-// ScoreBatch per step split into column tiles. At the bench environment's
-// quarter scale the auto policy runs B=256 as one tile (the cache-model
-// tile is as wide as the batch), so the request forces a 64-column width —
-// the explicit-width contract is bit-identical to auto and runs the same
-// per-tile retirement and coalescing the full-scale BENCH_diffuse.json
-// batch_wide rows measure. Under -benchtime 1x this doubles as the CI
-// smoke of the sweep driver's multi-tile path.
-func BenchmarkScoreBatchWide256(b *testing.B) { benchmarkScoreBatchTiled(b, 256, 64) }
+// BenchmarkScoreBatch256 drives one wide batch through the sweep driver:
+// its columns retire on different sweeps, so the active block is repacked
+// mid-call. Under -benchtime 1x this doubles as the CI smoke of retirement
+// at a width the unit tests do not reach.
+func BenchmarkScoreBatch256(b *testing.B) { benchmarkScoreBatch(b, 256) }
 
 func BenchmarkRunQueryGreedyTTL50(b *testing.B) {
 	env := benchEnvironment(b)

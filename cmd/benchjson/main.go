@@ -17,12 +17,7 @@
 // sequential baseline of B independent single-query sync ScoreBatch calls;
 // the batch=64 row is the ScoreBatch amortization acceptance number.
 //
-// Batch_wide rows (B=256/512) compare the forced one-tile column plan
-// (ColTile = B) against the auto column-tiled plan on the Parallel engine
-// over the projected wide relevance signal; both sides run the same
-// kernels and outputs are bit-identical, so the ratio isolates the L2
-// residency effect of tiling. The gs row compares
-// the multi-color Gauss–Seidel engine's sweep count against the Parallel
+// The gs row compares the multi-color Gauss–Seidel engine's sweep count against the Parallel
 // engine's block-Jacobi rounds at the same tolerance (bar: ≤0.8×) and its
 // tight-tolerance scores against the Synchronous reference (bar: ≤1e-9).
 //
@@ -80,7 +75,6 @@ import (
 	"diffusearch/internal/randx"
 	"diffusearch/internal/retrieval"
 	"diffusearch/internal/telemetry"
-	"diffusearch/internal/vecmath"
 )
 
 type engineResult struct {
@@ -144,22 +138,6 @@ type priorityResult struct {
 	PriorityBulkP99N int64   `json:"priority_bulk_p99_ns"`
 	MeanBatchFifo    float64 `json:"mean_batch_fifo"`
 	MeanBatchPri     float64 `json:"mean_batch_priority"`
-}
-
-// batchWideResult records one wide-batch width of the column-plan
-// comparison: the Parallel engine diffusing the projected B-query
-// relevance signal as one tile spanning the batch (ColTile = B) and with
-// the auto policy (ColTile 0, which tiles at these widths). Both runs use
-// the same kernels and are bit-identical in results; the row records what
-// the L2-sized tiles buy.
-type batchWideResult struct {
-	Batch             int     `json:"batch"`
-	Engine            string  `json:"engine"`
-	TileWidth         int     `json:"tile_width"` // auto-picked by the cache model
-	OneTileNsPerQuery int64   `json:"one_tile_ns_per_query"`
-	TiledNsPerQuery   int64   `json:"tiled_ns_per_query"`
-	Speedup           float64 `json:"speedup"`
-	Sweeps            int     `json:"sweeps"`
 }
 
 // gsResult records the multi-color Gauss–Seidel engine against the
@@ -243,9 +221,6 @@ type snapshot struct {
 	Seed       uint64         `json:"seed"`
 	Engines    []engineResult `json:"engines"`
 	ScoreBatch []batchResult  `json:"score_batch"`
-	// BatchWide records the wide-batch column-plan rows (auto tiles vs
-	// one tile).
-	BatchWide []batchWideResult `json:"batch_wide"`
 	// GS records the multi-color Gauss–Seidel engine row; it carries the
 	// sweeps ≤ 0.8× Parallel-rounds and ≤1e-9-vs-Synchronous acceptance
 	// numbers.
@@ -399,7 +374,7 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 	// BenchmarkScoreBatch: the Parallel engine scoring B queries through
 	// one multi-column diffusion, vs the sequential baseline of B
 	// independent single-query sync ScoreBatch calls (the per-query path).
-	queries := make([][]float64, 512)
+	queries := make([][]float64, 64)
 	for j := range queries {
 		queries[j] = env.Bench.Vocabulary().Vector(env.Bench.SamplePair(r).Query)
 	}
@@ -449,58 +424,6 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		snap.ScoreBatch = append(snap.ScoreBatch, br)
 	}
 
-	// Wide-batch column-plan rows: the Parallel engine diffusing the
-	// projected B-query relevance signal (the same x_j[v] = e_qj · E0[v]
-	// construction ScoreBatch diffuses) as one tile spanning the batch and
-	// with the auto column-tile policy, which engages at these widths.
-	// Same kernels, bit-identical outputs; the rows record what L2-sized
-	// tiles buy at wide batch widths.
-	nodes := env.Graph.NumNodes()
-	wideX := vecmath.NewMatrix(nodes, len(queries))
-	for u := 0; u < nodes; u++ {
-		vecmath.DotColumns(wideX.Row(u), queries, e0.Row(u))
-	}
-	for _, bw := range []int{256, 512} {
-		idx := make([]int, bw)
-		for j := range idx {
-			idx[j] = j
-		}
-		sub := vecmath.SelectColumns(wideX, idx)
-		var perQuery [2]int64
-		var sweeps int
-		for i, ct := range []int{bw, 0} {
-			p := params
-			p.ColTile = ct
-			_, st, err := diffuse.RunSignal(diffuse.EngineParallel, tr, diffuse.NewSignal(sub), p, seed)
-			if err != nil {
-				return fmt.Errorf("batch_wide B=%d coltile=%d: %w", bw, ct, err)
-			}
-			sweeps = st.Sweeps // identical on both sides by the tiling contract
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := diffuse.RunSignal(diffuse.EngineParallel, tr, diffuse.NewSignal(sub), p, seed); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			perQuery[i] = res.NsPerOp() / int64(bw)
-		}
-		wr := batchWideResult{
-			Batch:             bw,
-			Engine:            "parallel",
-			TileWidth:         diffuse.AutoTileWidth(nodes, bw),
-			OneTileNsPerQuery: perQuery[0],
-			TiledNsPerQuery:   perQuery[1],
-			Sweeps:            sweeps,
-		}
-		if wr.TiledNsPerQuery > 0 {
-			wr.Speedup = float64(wr.OneTileNsPerQuery) / float64(wr.TiledNsPerQuery)
-		}
-		fmt.Printf("batchwide-%-4d %12d ns/query one tile %8d ns/query tiled (T=%d, speedup %.2fx)\n",
-			wr.Batch, wr.OneTileNsPerQuery, wr.TiledNsPerQuery, wr.TileWidth, wr.Speedup)
-		snap.BatchWide = append(snap.BatchWide, wr)
-	}
-
 	// GS row: the multi-color Gauss–Seidel engine against the Parallel
 	// engine's block-Jacobi rounds on the snapshot's embedding diffusion at
 	// the snapshot tolerance. The sweep-count ratio is schedule-structural
@@ -535,7 +458,7 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 			return fmt.Errorf("gs sync reference: %w", err)
 		}
 		var maxErr float64
-		for u := 0; u < nodes; u++ {
+		for u := 0; u < gsM.Rows(); u++ {
 			gr, sr := gsM.Row(u), syncM.Row(u)
 			for j := range gr {
 				if d := gr[j] - sr[j]; d > maxErr {
@@ -821,20 +744,6 @@ func checkRegression(baselinePath string, fresh snapshot, maxRegress float64) er
 				br.Batch, br.NsPerQuery, b.NsPerQuery))
 		}
 	}
-	// Wide-batch rows: the auto-tiled vs one-tile speedup is a within-run
-	// ratio (both sides measured back-to-back on identical inputs producing
-	// bit-identical outputs), so it transfers across hardware and is gated
-	// against the committed row only.
-	baseWide := make(map[int]batchWideResult, len(base.BatchWide))
-	for _, wr := range base.BatchWide {
-		baseWide[wr.Batch] = wr
-	}
-	for _, wr := range fresh.BatchWide {
-		if b, ok := baseWide[wr.Batch]; ok && b.Speedup > 0 && wr.Speedup < b.Speedup*(1-maxRegress) {
-			problems = append(problems, fmt.Sprintf("batch_wide B=%d: tiled speedup %.2fx vs baseline %.2fx",
-				wr.Batch, wr.Speedup, b.Speedup))
-		}
-	}
 	// The GS row carries two absolute bars: the multi-color schedule must
 	// realize Gauss–Seidel's convergence advantage (sweeps ≤ 0.8× the
 	// Parallel engine's block-Jacobi rounds at the same tolerance — a
@@ -953,7 +862,7 @@ func checkRegression(baselinePath string, fresh snapshot, maxRegress float64) er
 		}
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("gated benchmark rows (parallel engine / scorebatch / batch_wide / gs / serve / priority / fanout / telemetry) regressed beyond %.0f%% of %s:\n  %s",
+		return fmt.Errorf("gated benchmark rows (parallel engine / scorebatch / gs / serve / priority / fanout / telemetry) regressed beyond %.0f%% of %s:\n  %s",
 			maxRegress*100, baselinePath, strings.Join(problems, "\n  "))
 	}
 	mode := "ratio checks only — baseline hardware differs"

@@ -5,8 +5,8 @@
 //
 //	experiments -exp fig3                 # Fig. 3a–d (accuracy vs distance)
 //	experiments -exp table1               # Table I (hop counts)
-//	experiments -exp all                  # everything below
-//	experiments -exp parallel|recall|placement|summary|visited|baselines|norm|serve
+//	experiments -exp all                  # everything below, in this order
+//	experiments -exp parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|priority|fanout
 //	experiments -quick                    # scaled-down environment & iterations
 //	experiments -seed 7 -iters 200 -csv   # tuning & CSV output
 package main
@@ -24,9 +24,56 @@ import (
 	"diffusearch/internal/stats"
 )
 
+// experiment is one -exp name and the runner method that regenerates it.
+type experiment struct {
+	name string
+	run  func(*runner) error
+}
+
+// experiments lists every experiment in the order -exp all runs them; the
+// flag help and the unknown-name error list them in the same order.
+var experiments = []experiment{
+	{"fig3", (*runner).fig3},
+	{"table1", (*runner).table1},
+	{"parallel", (*runner).parallel},
+	{"recall", (*runner).recall},
+	{"placement", (*runner).placement},
+	{"summary", (*runner).summary},
+	{"visited", (*runner).visited},
+	{"baselines", (*runner).baselines},
+	{"norm", (*runner).norm},
+	{"diffusion", (*runner).diffusion},
+	{"batch", (*runner).batch},
+	{"serve", (*runner).serve},
+	{"priority", (*runner).priority},
+	{"fanout", (*runner).fanout},
+}
+
+// experimentNames returns the accepted -exp values, "all" last.
+func experimentNames() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
+// selectExperiments resolves an -exp value to the experiments it runs.
+func selectExperiments(exp string) ([]experiment, error) {
+	if exp == "all" {
+		return experiments, nil
+	}
+	for _, e := range experiments {
+		if e.name == exp {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want %s)", exp, experimentNames())
+}
+
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|priority|fanout|all")
+		exp   = flag.String("exp", "all", "experiment: "+experimentNames())
 		seed  = flag.Uint64("seed", 42, "master seed (all results are deterministic in it)")
 		quick = flag.Bool("quick", false, "scaled-down environment and iteration counts")
 		iters = flag.Int("iters", 0, "override iteration count (0 = experiment default)")
@@ -48,6 +95,10 @@ type runner struct {
 }
 
 func run(exp string, seed uint64, quick bool, iters int, csv bool) error {
+	todo, err := selectExperiments(exp)
+	if err != nil {
+		return err
+	}
 	start := time.Now()
 	params := expt.PaperParams(seed)
 	if quick {
@@ -63,43 +114,12 @@ func run(exp string, seed uint64, quick bool, iters int, csv bool) error {
 		time.Since(start).Round(time.Millisecond), env.Graph.NumEdges(), env.MaxPoolDocs()-1)
 
 	r := &runner{env: env, quick: quick, iters: iters, csv: csv, seed: seed}
-	known := map[string]func() error{
-		"fig3":      r.fig3,
-		"table1":    r.table1,
-		"parallel":  r.parallel,
-		"recall":    r.recall,
-		"placement": r.placement,
-		"summary":   r.summary,
-		"visited":   r.visited,
-		"baselines": r.baselines,
-		"norm":      r.norm,
-		"diffusion": r.diffusion,
-		"batch":     r.batch,
-		"serve":     r.serve,
-		"priority":  r.priority,
-		"fanout":    r.fanout,
-	}
-	if exp == "all" {
-		for _, name := range []string{"fig3", "table1", "parallel", "recall", "placement", "summary", "visited", "baselines", "norm", "diffusion", "batch", "serve", "priority", "fanout"} {
-			if err := known[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+	for _, e := range todo {
+		if err := e.run(r); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		return nil
 	}
-	fn, ok := known[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (want %s|all)", exp, strings.Join(keys(known), "|"))
-	}
-	return fn()
-}
-
-func keys(m map[string]func() error) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
+	return nil
 }
 
 func (r *runner) emit(title string, t *stats.Table) {

@@ -43,7 +43,6 @@ type Network struct {
 
 	perso *vecmath.Matrix // E0, one personalization vector per node
 	emb   *vecmath.Matrix // diffused E (vector mode); nil until diffusion
-	alpha float64         // teleport probability used for diffusion / fast scoring
 }
 
 // Option customizes NewNetwork.
@@ -99,9 +98,6 @@ func (n *Network) Vocabulary() *embed.Vocabulary { return n.vocab }
 
 // Scorer returns the comparison function in use.
 func (n *Network) Scorer() retrieval.Scorer { return n.scorer }
-
-// Alpha returns the teleport probability of the last diffusion (0 before).
-func (n *Network) Alpha() float64 { return n.alpha }
 
 // PlaceDocuments assigns docs[i] to hosts[i]. Placing a document twice
 // returns an error; the experiments place each document exactly once.

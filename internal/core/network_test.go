@@ -146,9 +146,6 @@ func TestDiffuseSyncAndAsyncAgree(t *testing.T) {
 			t.Fatalf("node %d: async vs sync embeddings differ", u)
 		}
 	}
-	if f.net.Alpha() != 0.5 {
-		t.Fatal("Alpha not recorded")
-	}
 }
 
 func TestFastNodeScoresEqualsVectorMode(t *testing.T) {

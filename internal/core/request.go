@@ -62,21 +62,12 @@ type DiffusionRequest struct {
 	// Workers sizes the Parallel and ParallelGS engines' pools; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// ColTile selects the column plan of batch diffusions: 0 (the
-	// default) splits batches of 256+ columns into tiles sized by the
-	// engine's L2 cache model and runs narrower ones as one tile, > 0
-	// forces that tile width (≥ the batch width means one tile); negative
-	// values are rejected. Every plan produces bit-identical scores — the
-	// knob trades only throughput — so it is safe to leave on auto
-	// everywhere; override it when profiling shows the default tile
-	// misfits the host's cache.
-	ColTile int
 	// Seed drives the Asynchronous engine's update schedule; the other
 	// engines are schedule-independent and ignore it.
 	Seed uint64
 	// Filter, when non-nil, overrides Engine with an arbitrary low-pass
 	// graph filter (§II-C; e.g. ppr.HeatKernelFilter). Filter runs have no
-	// per-column early termination and do not record Alpha on the network.
+	// per-column early termination.
 	// Filters always run on the network's full CSR: they are defined over
 	// the whole operator, so an installed scoring backend does not apply.
 	Filter ppr.Filter
@@ -104,7 +95,7 @@ func (r DiffusionRequest) engine() diffuse.Engine {
 
 // params converts the request to engine parameters.
 func (r DiffusionRequest) params() diffuse.Params {
-	return diffuse.Params{Alpha: r.Alpha, Tol: r.Tol, MaxSweeps: r.MaxSweeps, Workers: r.Workers, ColTile: r.ColTile, Observe: r.Observer}
+	return diffuse.Params{Alpha: r.Alpha, Tol: r.Tol, MaxSweeps: r.MaxSweeps, Workers: r.Workers, Observe: r.Observer}
 }
 
 // projectQueries builds the n×B relevance signal x_j[v] = e_qj · E0[v] that
@@ -170,7 +161,6 @@ func (n *Network) Run(req DiffusionRequest) (diffuse.Stats, error) {
 		return st, err
 	}
 	n.emb = emb
-	n.alpha = req.Alpha
 	return st, nil
 }
 

@@ -5,8 +5,8 @@
 // to the synchronous solution provided no node starves.
 //
 // The engines (see Engine for selection) are visit orders of that one
-// update over one sweep driver (sweep.go), which owns the column plan,
-// per-column retirement, Stats, and the Observe hook:
+// update over one sweep driver (sweep.go), which owns the active column
+// block, per-column retirement, Stats, and the Observe hook:
 //
 //   - Synchronous: every node per sweep from the previous sweep's values;
 //     the scoring-grade reference, bit-compatible with ppr.PPRFilter.
@@ -67,13 +67,6 @@ type Params struct {
 	MaxSweeps int     // sweep/round budget; 0 means DefaultMaxSweeps
 	Workers   int     // Parallel engine only: pool size; 0 means GOMAXPROCS
 
-	// ColTile selects the column plan of the column kernels (see
-	// tile.go): 0 splits wide batches (B ≥ 256) into tiles sized by the L2
-	// cache model and runs narrower ones as one tile, > 0 forces that tile
-	// width at any batch width (≥ B means one tile); negative values are
-	// rejected. Every plan is bit-identical — the knob trades only speed.
-	ColTile int
-
 	// Observe, when non-nil, receives one SweepStat per sweep/round from
 	// the column kernels (see Observer) — a read-only tap on the
 	// convergence profile that can never change the result. Synchronous
@@ -95,9 +88,6 @@ func (p Params) controls() (tol float64, maxSweeps int) {
 func (p Params) validate() error {
 	if p.Alpha <= 0 || p.Alpha > 1 {
 		return fmt.Errorf("diffuse: teleport probability %v out of (0,1]", p.Alpha)
-	}
-	if p.ColTile < 0 {
-		return fmt.Errorf("diffuse: negative column tile width %d", p.ColTile)
 	}
 	return nil
 }

@@ -100,8 +100,7 @@ func Run(e Engine, tr *graph.Transition, e0 *vecmath.Matrix, p Params, seed uint
 // ppr.PPRFilter, to which a single-column sync Signal is bit-identical
 // (the sync order keeps the unfused Zero+ApplyRow+AXPY update for that
 // reason; the others use the fused affine kernel, whose rounding
-// differs). Params.ColTile picks the column plan — every plan is
-// bit-identical on every engine, only speed moves.
+// differs).
 func RunSignal(e Engine, tr *graph.Transition, sig *Signal, p Params, seed uint64) (*Signal, Stats, error) {
 	switch e {
 	case EngineAsynchronous:

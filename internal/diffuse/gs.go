@@ -28,44 +28,35 @@ import (
 // in parallel (in place, like the Asynchronous engine), per-column
 // residuals are tracked across the whole sweep, and columns retire the
 // sweep their residual first drops to tol. Results are identical for
-// every worker count. Auto (ColTile 0) runs GS as one tile at every batch
-// width — column tiles measured slower for it on the recorded hardware —
-// while an explicit positive ColTile tiles it like the other kernels,
-// bit-identically as everywhere.
+// every worker count.
 func ParallelGSColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
-	n, cols, err := checkSignal(tr, sig, p)
+	n, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	tol, maxSweeps := p.controls()
 	workers := p.poolSize(n)
-	colTile := p.ColTile
-	if colTile == 0 {
-		colTile = cols
-	}
 	edgeMsgs := 2 * int64(tr.Graph().NumEdges()) // each node pulls its neighbourhood once per sweep
 	classes := tr.Coloring().Classes()
 	pool := newWorkerPool(workers)
 	defer pool.close()
 	var cursor atomic.Int64
 
-	r := newSweepRun(sig, tileWidths(n, cols, colTile), workers, false)
+	r := newSweepRun(sig, workers, false)
 	scratch := make([][]float64, workers)
 	for w := range scratch {
-		scratch[w] = make([]float64, r.ts.capWidth)
+		scratch[w] = make([]float64, sig.Columns())
 	}
 	return r.drive(p, tol, maxSweeps, func() (int, bool) {
 		for _, class := range classes {
 			cursor.Store(0)
 			pool.run(func(id int) {
 				forEachClaimed(&cursor, len(class), func(lo, hi int) {
+					cr := r.res[id]
+					sc := scratch[id][:len(cr)]
 					for _, u := range class[lo:hi] {
-						for _, t := range r.live {
-							cr := t.res[id]
-							sc := scratch[id][:len(cr)]
-							tr.ApplyRowAffine(sc, u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
-							vecmath.ResidMaxCopy(cr, t.cur.Row(u), sc)
-						}
+						tr.ApplyRowAffine(sc, u, 1-p.Alpha, r.cur, p.Alpha, r.e0.Row(u))
+						vecmath.ResidMaxCopy(cr, r.cur.Row(u), sc)
 					}
 				})
 			})

@@ -57,13 +57,12 @@ func resolventNorm(t *testing.T, tr *graph.Transition, alpha float64) float64 {
 	return norm
 }
 
-// TestEnginesMatchDenseClosedForm checks every visit order × column plan
-// against an oracle that shares no code with the engines: the
-// dense Gaussian-elimination solution of eq. 6. The bit-identity property
-// tests compare the engines with each other; this is the test that fails
-// when they drift together. Columns carry different magnitudes, so they
-// retire on different sweeps and the multi-tile plans exercise per-tile
-// retirement and coalescing on the way.
+// TestEnginesMatchDenseClosedForm checks every visit order against an
+// oracle that shares no code with the engines: the dense
+// Gaussian-elimination solution of eq. 6. The bit-identity property tests
+// compare the engines with each other; this is the test that fails when
+// they drift together. Columns carry different magnitudes, so they retire
+// on different sweeps and the block is repacked on the way.
 func TestEnginesMatchDenseClosedForm(t *testing.T) {
 	const (
 		alpha = 0.3
@@ -84,23 +83,17 @@ func TestEnginesMatchDenseClosedForm(t *testing.T) {
 	if bound > 1e-5 {
 		t.Fatalf("bound %g is too loose to catch a drift", bound)
 	}
-	plans := []struct {
-		name    string
-		colTile int
-	}{{"one tile", cols}, {"7-wide", 7}, {"ragged", 4}}
+	p := Params{Alpha: alpha, Tol: tol, MaxSweeps: 5000, Workers: 3}
 	for _, eng := range []Engine{EngineSync, EngineAsynchronous, EngineParallel, EngineParallelGS} {
-		for _, plan := range plans {
-			p := Params{Alpha: alpha, Tol: tol, MaxSweeps: 5000, Workers: 3, ColTile: plan.colTile}
-			t.Run(fmt.Sprintf("%v/%s/single CSR", eng, plan.name), func(t *testing.T) {
-				got, st, err := RunSignal(eng, tr, NewSignal(e0), p, 5)
-				if err != nil || !st.Converged {
-					t.Fatalf("converged=%v err=%v", st.Converged, err)
-				}
-				if d := vecmath.MaxAbsDiffMatrix(got.Matrix(), want); d > bound {
-					t.Errorf("off the closed form by %g, bound %g", d, bound)
-				}
-			})
-		}
+		t.Run(eng.String(), func(t *testing.T) {
+			got, st, err := RunSignal(eng, tr, NewSignal(e0), p, 5)
+			if err != nil || !st.Converged {
+				t.Fatalf("converged=%v err=%v", st.Converged, err)
+			}
+			if d := vecmath.MaxAbsDiffMatrix(got.Matrix(), want); d > bound {
+				t.Errorf("off the closed form by %g, bound %g", d, bound)
+			}
+		})
 	}
 }
 

@@ -91,7 +91,7 @@ func (p Params) poolSize(n int) int {
 // column-stochastic hubs, so a small per-round change can hide a large
 // pending hub update.
 func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
-	n, cols, err := checkSignal(tr, sig, p)
+	n, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -111,7 +111,7 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 	defer pool.close()
 	var cursor atomic.Int64
 
-	r := newSweepRun(sig, tileWidths(n, cols, p.ColTile), workers, true)
+	r := newSweepRun(sig, workers, true)
 	// Bootstrap accounting: every node announces its signal to its
 	// neighbourhood so the first round has inputs to read (Σ deg(u) = 2|E|
 	// messages).
@@ -119,8 +119,8 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 	return r.drive(p, pushTol, maxRounds, func() (int, bool) {
 		visited := len(frontier)
 		fullRound := visited == n
-		// Compute phase: per frontier node, one fused CSR pass per tile
-		// advances all active columns from the previous round's values.
+		// Compute phase: per frontier node, one fused CSR pass advances
+		// all active columns from the previous round's values.
 		// Writes touch only next rows and resid slots of frontier nodes,
 		// reads only cur — no write conflicts.
 		cursor.Store(0)
@@ -128,13 +128,9 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 			w := &ws[id]
 			forEachClaimed(&cursor, visited, func(lo, hi int) {
 				for _, u := range frontier[lo:hi] {
-					var nodeRes float64
-					for _, t := range r.live {
-						row := t.next.Row(u)
-						tr.ApplyRowAffine(row, u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
-						nodeRes = max(nodeRes, vecmath.ResidMax(t.res[id], t.cur.Row(u), row))
-					}
-					resid[u] = nodeRes
+					row := r.next.Row(u)
+					tr.ApplyRowAffine(row, u, 1-p.Alpha, r.cur, p.Alpha, r.e0.Row(u))
+					resid[u] = vecmath.ResidMax(r.res[id], r.cur.Row(u), row)
 					w.updates++
 				}
 			})
@@ -143,16 +139,14 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 		// a significantly changed node for the next round. Marking races
 		// are resolved by CompareAndSwap so each node enters the frontier
 		// once. When the frontier covers every node the row copies are
-		// replaced by one buffer swap per tile after the phase.
+		// replaced by one buffer swap after the phase.
 		cursor.Store(0)
 		pool.run(func(id int) {
 			w := &ws[id]
 			forEachClaimed(&cursor, visited, func(lo, hi int) {
 				for _, u := range frontier[lo:hi] {
 					if !fullRound {
-						for _, t := range r.live {
-							copy(t.cur.Row(u), t.next.Row(u))
-						}
+						copy(r.cur.Row(u), r.next.Row(u))
 					}
 					rs := resid[u]
 					if rs == 0 {
@@ -184,9 +178,7 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 			})
 		})
 		if fullRound {
-			for _, t := range r.live {
-				t.cur, t.next = t.next, t.cur
-			}
+			r.cur, r.next = r.next, r.cur
 		}
 		for id := range ws {
 			w := &ws[id]

@@ -48,73 +48,16 @@ func (s *Signal) Columns() int { return s.mat.Cols() }
 // Column returns an owned copy of column j — one per-node score slice.
 func (s *Signal) Column(j int) []float64 { return s.mat.Column(j) }
 
-// colBlock tracks the active compact column block of one column tile:
-// which original column each compact slot maps to, the run's finalized
-// output, and the per-column sweep counts.
-type colBlock struct {
-	act    []int           // compact slot -> original column
-	out    *vecmath.Matrix // n×B finalized values
-	sweeps []int           // per original column: sweeps spent active
-}
-
-// retire finalizes every compact slot marked in frozen: the slot's column
-// of cur becomes the output value and its sweep count is recorded. It
-// returns the compact indices that stay active (for repacking via
-// vecmath.SelectColumns) and shrinks the slot→column map accordingly.
-func (cb *colBlock) retire(frozen []bool, sweep int, cur *vecmath.Matrix) (keep []int) {
-	keep = make([]int, 0, len(cb.act))
-	kept := make([]int, 0, len(cb.act))
-	for k, orig := range cb.act {
-		if frozen[k] {
-			cb.out.SetColumn(orig, cur.Column(k))
-			cb.sweeps[orig] = sweep
-		} else {
-			keep = append(keep, k)
-			kept = append(kept, orig)
-		}
-	}
-	cb.act = kept
-	return keep
-}
-
-// retireAll finalizes every still-active column at the given sweep.
-func (cb *colBlock) retireAll(sweep int, cur *vecmath.Matrix) {
-	frozen := make([]bool, len(cb.act))
-	for k := range frozen {
-		frozen[k] = true
-	}
-	cb.retire(frozen, sweep, cur)
-}
-
-// retireSweep is the shared per-sweep retirement step of every column
-// kernel: it retires each active slot whose residual in cr dropped to
-// thresh. It returns the still-active compact indices for repacking via
-// vecmath.SelectColumns — nil when nothing retired (callers skip the
-// repack) — and whether the whole block is now done.
-func (cb *colBlock) retireSweep(cr []float64, thresh float64, sweep int, cur *vecmath.Matrix) (keep []int, done bool) {
-	frozen := make([]bool, len(cr))
-	any := false
-	for j, v := range cr {
-		frozen[j] = v <= thresh
-		any = any || frozen[j]
-	}
-	if !any {
-		return nil, false
-	}
-	keep = cb.retire(frozen, sweep, cur)
-	return keep, len(keep) == 0
-}
-
 // checkSignal validates the common engine preconditions.
-func checkSignal(tr *graph.Transition, sig *Signal, p Params) (n, cols int, err error) {
+func checkSignal(tr *graph.Transition, sig *Signal, p Params) (n int, err error) {
 	if err := p.validate(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	n = tr.Graph().NumNodes()
 	if sig.mat.Rows() != n {
-		return 0, 0, fmt.Errorf("diffuse: signal has %d rows, graph has %d nodes", sig.mat.Rows(), n)
+		return 0, fmt.Errorf("diffuse: signal has %d rows, graph has %d nodes", sig.mat.Rows(), n)
 	}
-	return n, sig.mat.Cols(), nil
+	return n, nil
 }
 
 // matrixOf unwraps a column kernel's result for the matrix-form entry
@@ -136,25 +79,23 @@ func matrixOf(sig *Signal, st Stats, err error) (*vecmath.Matrix, Stats, error) 
 // reproduce, so a single-column Signal is bit-for-bit identical to
 // Synchronous (and therefore to ppr.PPRFilter) on the same input.
 func SynchronousColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
-	n, cols, err := checkSignal(tr, sig, p)
+	n, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	tol, maxSweeps := p.syncControls()
 	edgeMsgs := 2 * int64(tr.Graph().NumEdges())
-	r := newSweepRun(sig, tileWidths(n, cols, p.ColTile), 1, true)
+	r := newSweepRun(sig, 1, true)
 	return r.drive(p, tol, maxSweeps, func() (int, bool) {
-		for _, t := range r.live {
-			cr := t.res[0]
-			for u := 0; u < n; u++ {
-				row := t.next.Row(u)
-				vecmath.Zero(row)
-				tr.ApplyRow(row, u, 1-p.Alpha, t.cur)
-				vecmath.AXPY(row, p.Alpha, t.e0row(u))
-				vecmath.ResidMax(cr, t.cur.Row(u), row)
-			}
-			t.cur, t.next = t.next, t.cur
+		cr := r.res[0]
+		for u := 0; u < n; u++ {
+			row := r.next.Row(u)
+			vecmath.Zero(row)
+			tr.ApplyRow(row, u, 1-p.Alpha, r.cur)
+			vecmath.AXPY(row, p.Alpha, r.e0.Row(u))
+			vecmath.ResidMax(cr, r.cur.Row(u), row)
 		}
+		r.cur, r.next = r.next, r.cur
 		r.st.Updates += int64(n)
 		r.st.Messages += edgeMsgs
 		return n, false
@@ -171,23 +112,21 @@ func SynchronousColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, S
 // sweep and shared by every column, so each column's trajectory — and its
 // retirement sweep — is bit-identical to diffusing that column alone.
 func AsynchronousColumns(tr *graph.Transition, sig *Signal, p Params, rnd *randx.Rand) (*Signal, Stats, error) {
-	n, cols, err := checkSignal(tr, sig, p)
+	n, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	tol, maxSweeps := p.controls()
 	edgeMsgs := 2 * int64(tr.Graph().NumEdges()) // each node pulls its neighbourhood once per sweep
-	r := newSweepRun(sig, tileWidths(n, cols, p.ColTile), 1, false)
-	scratch := make([]float64, r.ts.capWidth)
+	r := newSweepRun(sig, 1, false)
+	scratch := make([]float64, sig.Columns())
 	return r.drive(p, tol, maxSweeps, func() (int, bool) {
 		perm := rnd.Perm(n)
-		for _, t := range r.live {
-			cr := t.res[0]
-			sc := scratch[:len(cr)]
-			for _, u := range perm {
-				tr.ApplyRowAffine(sc, u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
-				vecmath.ResidMaxCopy(cr, t.cur.Row(u), sc)
-			}
+		cr := r.res[0]
+		sc := scratch[:len(cr)]
+		for _, u := range perm {
+			tr.ApplyRowAffine(sc, u, 1-p.Alpha, r.cur, p.Alpha, r.e0.Row(u))
+			vecmath.ResidMaxCopy(cr, r.cur.Row(u), sc)
 		}
 		r.st.Updates += int64(n)
 		r.st.Messages += edgeMsgs

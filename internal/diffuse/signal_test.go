@@ -2,6 +2,7 @@ package diffuse
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"diffusearch/internal/gengraph"
@@ -94,6 +95,40 @@ func TestColumnsBatchMatchesSoloDeterministicEngines(t *testing.T) {
 			if st.ColumnSweeps[j] != soloSt.Sweeps {
 				t.Fatalf("%v: column %d retired at sweep %d, solo converged at %d",
 					eng, j, st.ColumnSweeps[j], soloSt.Sweeps)
+			}
+		}
+	}
+}
+
+// TestBatchMatchesSolo checks that repacking the active block composes
+// with per-column early termination: columns of different magnitudes
+// retire on different sweeps, so the block is repacked mid-run, and every
+// column must still equal diffusing it alone, bit for bit, on the engines
+// whose schedule does not depend on the signal.
+func TestBatchMatchesSolo(t *testing.T) {
+	tr := signalGraph(t)
+	n := tr.Graph().NumNodes()
+	const b = 9
+	e0 := sparseColumns(13, n, b)
+	p := Params{Alpha: 0.4, Tol: 1e-9}
+	for _, eng := range []Engine{EngineSync, EngineAsynchronous, EngineParallelGS} {
+		out, st, err := RunSignal(eng, tr, NewSignal(e0), p, 11)
+		if err != nil {
+			t.Fatalf("engine %v: %v", eng, err)
+		}
+		if slices.Min(st.ColumnSweeps) == st.Sweeps {
+			t.Fatalf("engine %v: every column retired on the last sweep %v; nothing was repacked", eng, st.ColumnSweeps)
+		}
+		for j := 0; j < b; j++ {
+			want, wst := soloColumn(t, eng, tr, e0, j, p, 11)
+			got := out.Column(j)
+			for u := range got {
+				if got[u] != want[u] {
+					t.Fatalf("engine %v column %d node %d: batch %v != solo %v", eng, j, u, got[u], want[u])
+				}
+			}
+			if st.ColumnSweeps[j] != wst.ColumnSweeps[0] {
+				t.Fatalf("engine %v column %d: batch sweeps %d != solo sweeps %d", eng, j, st.ColumnSweeps[j], wst.ColumnSweeps[0])
 			}
 		}
 	}

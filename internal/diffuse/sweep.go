@@ -10,11 +10,10 @@ import (
 // a column block until each column's residual settles — and the engines
 // differ only in the order one sweep visits the nodes (the orderings of
 // one update catalogued by the PPR survey, arXiv 2403.05198). sweepRun
-// owns everything that does not depend on that order: the column plan and
-// its per-sweep coalescing, the residual merge in compact slot order,
-// Stats, the Observer call, per-tile retirement, quiescence, and the
-// no-convergence exit. An engine supplies its visit
-// order as the per-sweep body handed to drive:
+// owns everything that does not depend on that order: the compact block
+// of active columns, the residual merge, Stats, the Observer call,
+// retirement and repacking, quiescence, and the no-convergence exit. An
+// engine supplies its visit order as the per-sweep body handed to drive:
 //
 //   - SynchronousColumns: every node from the previous sweep's values, with
 //     the unfused Zero+ApplyRow+AXPY update that keeps ppr.PPRFilter's
@@ -27,11 +26,22 @@ import (
 // The matrix-form entry points (Asynchronous, Parallel, ParallelGS) are
 // Signal runs whose columns are the embedding dimensions.
 type sweepRun struct {
-	ts *tileSet
-	// live holds this sweep's tiles with active columns, in column order.
-	// The body raises each tile's per-worker residual slots (colTile.res)
-	// for every value it changes; drive merges and clears them.
-	live []*colTile
+	// act maps each compact slot of the active block to its original
+	// column; out holds the finalized n×B values and sweeps each
+	// column's retirement sweep (Stats.ColumnSweeps).
+	act    []int
+	out    *vecmath.Matrix
+	sweeps []int
+	// cur is the active block's iterate, n×len(act); next is its double
+	// buffer, nil for the in-place engines. e0 is the block's
+	// personalization: the input matrix itself until the first retirement
+	// repacks the block, which materializes the surviving columns.
+	cur, next, e0 *vecmath.Matrix
+	// res[w][k] is worker w's residual maximum for active slot k over the
+	// sweep in progress — the cr argument of vecmath.ResidMax*. One slice
+	// per worker so goroutines never share a residual slot; drive merges
+	// and clears them.
+	res [][]float64
 	// st accumulates the run's Stats. The body adds Updates and Messages;
 	// drive owns the rest. Traffic charged before the first
 	// sweep (the frontier engines' bootstrap announcement) is set on st
@@ -39,81 +49,131 @@ type sweepRun struct {
 	st Stats
 }
 
-// newSweepRun lays sig out as column tiles of the planned widths for a run
-// whose body writes residuals from workers goroutines. needNext allocates
-// the double-buffer matrices of the barrier engines; the in-place engines
-// pass false.
-func newSweepRun(sig *Signal, widths []int, workers int, needNext bool) *sweepRun {
-	return &sweepRun{ts: newTileSet(sig, widths, workers, needNext)}
+// newSweepRun lays sig out as one active block for a run whose body writes
+// residuals from workers goroutines. needNext allocates the double buffer
+// of the barrier engines; the in-place engines pass false.
+func newSweepRun(sig *Signal, workers int, needNext bool) *sweepRun {
+	n, cols := sig.mat.Rows(), sig.mat.Cols()
+	r := &sweepRun{
+		act:    make([]int, cols),
+		out:    vecmath.NewMatrix(n, cols),
+		sweeps: make([]int, cols),
+		cur:    sig.mat.Clone(),
+		e0:     sig.mat,
+		res:    make([][]float64, workers),
+	}
+	for k := range r.act {
+		r.act[k] = k
+	}
+	for w := range r.res {
+		r.res[w] = make([]float64, cols)
+	}
+	if needNext {
+		r.next = vecmath.NewMatrix(n, cols)
+	}
+	return r
 }
 
 // drive runs sweeps until every column has retired or maxSweeps is spent.
-// Each sweep calls body once: it must advance every live tile by one sweep
-// in its visit order, raise the residual slots of every value it changes,
-// and report how many nodes it visited and whether it is quiescent — it
-// has no further work queued, which retires every remaining column (only
-// the frontier orders ever are; the dense orders return false). A column
-// otherwise retires the sweep its merged residual drops to thresh.
+// Each sweep calls body once: it must advance the active block by one
+// sweep in its visit order, raise the residual slots of every value it
+// changes, and report how many nodes it visited and whether it is
+// quiescent — it has no further work queued, which retires every remaining
+// column (only the frontier orders ever are; the dense orders return
+// false). A column otherwise retires the sweep its merged residual drops
+// to thresh.
 func (r *sweepRun) drive(p Params, thresh float64, maxSweeps int, body func() (visited int, quiescent bool)) (*Signal, Stats, error) {
-	ts, st := r.ts, &r.st
-	st.ColumnSweeps = ts.sweeps
-	out := &Signal{mat: ts.out}
-	if ts.out.Rows() == 0 || ts.out.Cols() == 0 {
+	st := &r.st
+	st.ColumnSweeps = r.sweeps
+	out := &Signal{mat: r.out}
+	if r.out.Rows() == 0 || r.out.Cols() == 0 {
 		st.Converged = true
 		return out, *st, nil
 	}
-	merged := make([]float64, ts.out.Cols())
+	merged := make([]float64, r.out.Cols())
 	var seenMsgs int64 // total already handed to the observer
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
-		r.live = ts.live(r.live)
 		visited, quiescent := body()
 
-		// Merge the workers' residual maxima into the compact slot layout
-		// (the live tiles' active columns concatenated in column order), so
-		// Residual and ResidualL1 aggregate in the same order for every
-		// column plan — bit-identical sums, not just equal values.
-		w := 0
-		for _, t := range r.live {
-			cr := merged[w : w+t.width()]
-			vecmath.Zero(cr)
-			for _, wr := range t.res {
-				for j, v := range wr {
-					if v > cr[j] {
-						cr[j] = v
-					}
+		// Merge the workers' residual maxima per active slot.
+		cr := merged[:len(r.act)]
+		vecmath.Zero(cr)
+		for _, wr := range r.res {
+			for j, v := range wr {
+				if v > cr[j] {
+					cr[j] = v
 				}
-				vecmath.Zero(wr)
 			}
-			w += len(cr)
+			vecmath.Zero(wr)
 		}
-		cr := merged[:w]
 		st.Sweeps = sweep
 		st.Residual = maxOf(cr)
 		if p.Observe != nil {
 			p.Observe.ObserveSweep(SweepStat{
-				Sweep: sweep, ActiveNodes: visited, ActiveColumns: w,
+				Sweep: sweep, ActiveNodes: visited, ActiveColumns: len(cr),
 				Residual: st.Residual, ResidualL1: sumOf(cr),
 				Messages: st.Messages - seenMsgs,
 			})
 			seenMsgs = st.Messages
 		}
 		if quiescent {
-			ts.retireAll(sweep)
+			r.retireAll(sweep)
 			st.Converged = true
 			return out, *st, nil
 		}
-		for _, t := range r.live {
-			tw := t.width()
-			t.retireSweep(cr[:tw], thresh, sweep)
-			cr = cr[tw:]
-		}
-		if ts.activeWidth() == 0 {
+		r.retireSweep(cr, thresh, sweep)
+		if len(r.act) == 0 {
 			st.Converged = true
 			return out, *st, nil
 		}
 	}
-	ts.retireAll(maxSweeps)
+	r.retireAll(maxSweeps)
 	return out, *st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
+}
+
+// retireSweep retires every active slot whose merged residual in cr
+// dropped to thresh and repacks the block around the survivors.
+func (r *sweepRun) retireSweep(cr []float64, thresh float64, sweep int) {
+	keep := make([]int, 0, len(cr))
+	for k, v := range cr {
+		if v <= thresh {
+			r.finalize(k, sweep)
+		} else {
+			keep = append(keep, k)
+		}
+	}
+	if len(keep) == len(cr) {
+		return
+	}
+	act := make([]int, len(keep))
+	for i, k := range keep {
+		act[i] = r.act[k]
+	}
+	r.act = act
+	r.cur = vecmath.SelectColumns(r.cur, keep)
+	r.e0 = vecmath.SelectColumns(r.e0, keep)
+	if r.next != nil {
+		r.next = vecmath.NewMatrix(r.cur.Rows(), len(keep))
+	}
+	for w := range r.res {
+		r.res[w] = r.res[w][:len(keep)]
+	}
+}
+
+// retireAll finalizes every still-active column at sweep.
+func (r *sweepRun) retireAll(sweep int) {
+	for k := range r.act {
+		r.finalize(k, sweep)
+	}
+	r.act = nil
+}
+
+// finalize retires active slot k at sweep: its column of cur becomes the
+// output column and sweep its Stats.ColumnSweeps entry.
+func (r *sweepRun) finalize(k, sweep int) {
+	orig := r.act[k]
+	r.out.SetColumn(orig, r.cur.Column(k))
+	r.sweeps[orig] = sweep
 }
 
 // maxOf returns the largest value of v (0 for an empty slice).

@@ -50,14 +50,6 @@ type BatchRow struct {
 	MessagesPerQuery float64
 	Sweeps           int
 	ColumnSweeps     []int
-	// TileWidth is the column tile the auto policy picked for this width
-	// (0: the batch ran as one tile), and UntiledNsPerQuery the cost of the
-	// same call forced to one tile spanning the batch (ColTile = B) — only
-	// measured on widths where auto-tiling engages, 0 otherwise. The two
-	// runs use the same kernels and return bit-identical scores; the gap
-	// is the L2 residency dividend of tiling.
-	TileWidth         int
-	UntiledNsPerQuery float64
 }
 
 // BatchScaling measures ScoreBatch amortization: B distinct benchmark
@@ -103,47 +95,26 @@ func BatchScaling(env *Environment, cfg BatchConfig) ([]BatchRow, error) {
 			return nil, fmt.Errorf("expt: batch B=%d: %w", b, err)
 		}
 		wall := time.Since(start)
-		row := BatchRow{
+		rows = append(rows, BatchRow{
 			B:                b,
 			Wall:             wall,
 			NsPerQuery:       float64(wall.Nanoseconds()) / float64(b),
 			MessagesPerQuery: float64(st.Messages) / float64(b),
 			Sweeps:           st.Sweeps,
 			ColumnSweeps:     st.ColumnSweeps,
-		}
-		if tw := diffuse.AutoTileWidth(env.Graph.NumNodes(), b); tw < b {
-			row.TileWidth = tw
-			ureq := req
-			ureq.ColTile = b // one tile spanning the batch, bit-identical scores
-			ustart := time.Now()
-			if _, _, err := net.ScoreBatch(queries[:b], ureq); err != nil {
-				return nil, fmt.Errorf("expt: batch B=%d one tile: %w", b, err)
-			}
-			row.UntiledNsPerQuery = float64(time.Since(ustart).Nanoseconds()) / float64(b)
-		}
-		rows = append(rows, row)
+		})
 	}
 	return rows, nil
 }
 
 // FormatBatch renders BatchScaling rows; speedup/query is amortized cost
-// relative to the first row's per-query cost. The tile and tiled-gain
-// columns appear on widths where auto-tiling engaged: the picked tile
-// width and the one-tile-vs-tiled per-query cost ratio (both runs return
-// bit-identical scores).
+// relative to the first row's per-query cost.
 func FormatBatch(rows []BatchRow) *stats.Table {
-	t := &stats.Table{Header: []string{"B", "wall", "ns/query", "speedup/query", "msgs/query", "sweeps", "tile", "tiled-gain", "col-sweeps"}}
+	t := &stats.Table{Header: []string{"B", "wall", "ns/query", "speedup/query", "msgs/query", "sweeps", "col-sweeps"}}
 	for _, r := range rows {
 		speedup := "n/a"
 		if r.NsPerQuery > 0 {
 			speedup = fmt.Sprintf("%.2fx", rows[0].NsPerQuery/r.NsPerQuery)
-		}
-		tile, gain := "-", "-"
-		if r.TileWidth > 0 {
-			tile = fmt.Sprintf("%d", r.TileWidth)
-			if r.NsPerQuery > 0 {
-				gain = fmt.Sprintf("%.2fx", r.UntiledNsPerQuery/r.NsPerQuery)
-			}
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", r.B),
@@ -152,8 +123,6 @@ func FormatBatch(rows []BatchRow) *stats.Table {
 			speedup,
 			fmt.Sprintf("%.0f", r.MessagesPerQuery),
 			fmt.Sprintf("%d", r.Sweeps),
-			tile,
-			gain,
 			SummarizeColumnSweeps(r.ColumnSweeps),
 		)
 	}

@@ -64,7 +64,7 @@ func TestApplyRowAffineWidthMismatchPanics(t *testing.T) {
 // BenchmarkApplyRowAffine times one full pass of the single affine entry
 // (the SIMD kernel where the CPU has one — the "asm" rows) against the
 // portable Go body across batch widths: the serving widths 1 and 8, the
-// one- and three-column tails a retiring tile shrinks through, and a wide
+// one- and three-column tails a retiring block shrinks through, and a wide
 // row with and without a ragged tail. It is the committed reproducer for
 // the width table in CHANGES.md (PR 12): the SIMD body must not lose to
 // the Go body at any width, which is what lets every engine call it

@@ -6,7 +6,7 @@ import "math"
 // for every j it raises cr[j] to |row[j]-sc[j]| if larger, copies sc
 // into row, and returns the row's largest delta. This is the fused
 // update+residual step of the in-place diffusion kernels (one node, one
-// column tile): on amd64 with AVX2 it runs 4 columns per instruction and
+// column block): on amd64 with AVX2 it runs 4 columns per instruction and
 // is bit-identical to the scalar loop — subtraction and |x| are exact
 // per element and max is order-independent. All three slices must share
 // one length.
