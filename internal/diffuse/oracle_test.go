@@ -85,7 +85,9 @@ func TestEnginesMatchDenseClosedForm(t *testing.T) {
 	}
 	p := Params{Alpha: alpha, Tol: tol, MaxSweeps: 5000, Workers: 3}
 	for _, eng := range []Engine{EngineSync, EngineAsynchronous, EngineParallel, EngineParallelGS} {
-		t.Run(eng.String(), func(t *testing.T) {
+		// The one block is the plan formerly named "one tile"; the subtest
+		// keeps that name.
+		t.Run(fmt.Sprintf("%v/one tile/single CSR", eng), func(t *testing.T) {
 			got, st, err := RunSignal(eng, tr, NewSignal(e0), p, 5)
 			if err != nil || !st.Converged {
 				t.Fatalf("converged=%v err=%v", st.Converged, err)

@@ -2,6 +2,7 @@ package diffuse
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -129,6 +130,71 @@ func TestBatchMatchesSolo(t *testing.T) {
 			}
 			if st.ColumnSweeps[j] != wst.ColumnSweeps[0] {
 				t.Fatalf("engine %v column %d: batch sweeps %d != solo sweeps %d", eng, j, st.ColumnSweeps[j], wst.ColumnSweeps[0])
+			}
+		}
+	}
+}
+
+// TestTiledBitIdenticalToUntiled checks that a batch split into column
+// groups by the caller — a forced width with a ragged final group, and a
+// width that divides nothing evenly — reproduces the batch diffused as one
+// block bit for bit: scores, per-column sweep counts, the sweep count and
+// convergence alike. Each group retires its columns on its own schedule,
+// so the one block is repacked around different neighbours than in the
+// groups. The parallel engine shares push scheduling across the block, so
+// it is held to a tolerance instead
+// (TestParallelColumnsBatchMatchesSoloWithinTolerance).
+func TestTiledBitIdenticalToUntiled(t *testing.T) {
+	tr := signalGraph(t)
+	n := tr.Graph().NumNodes()
+	const tile = 7
+	// tile-1 and tile+1 exercise the degenerate single-group split and the
+	// ragged one-column final group; 512 covers a wide batch (73 full
+	// groups plus a ragged tail of width 1).
+	for _, b := range []int{1, tile - 1, tile, tile + 1, 512} {
+		e0 := sparseColumns(uint64(40+b), n, b)
+		for _, eng := range []Engine{EngineSync, EngineAsynchronous, EngineParallelGS} {
+			for _, workers := range []int{1, 4} {
+				if workers != 1 && eng != EngineParallelGS {
+					continue // sync/async ignore Workers
+				}
+				t.Run(fmt.Sprintf("%v/b=%d/w=%d", eng, b, workers), func(t *testing.T) {
+					p := Params{Alpha: 0.5, Tol: 1e-8, Workers: workers}
+					run := func(m *vecmath.Matrix) (*Signal, Stats) {
+						out, st, err := RunSignal(eng, tr, NewSignal(m), p, 11)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return out, st
+					}
+					plain, pst := run(e0) // the batch as one block
+					for _, width := range []int{tile, 3} {
+						sweeps, converged := 0, true
+						for lo := 0; lo < b; lo += width {
+							hi := min(lo+width, b)
+							group := vecmath.NewMatrix(n, hi-lo)
+							for j := lo; j < hi; j++ {
+								group.SetColumn(j-lo, e0.Column(j))
+							}
+							out, st := run(group)
+							for j := lo; j < hi; j++ {
+								if d := vecmath.MaxAbsDiff(out.Column(j-lo), plain.Column(j)); d != 0 {
+									t.Fatalf("width %d: column %d differs from one block by %g (must be bit-identical)", width, j, d)
+								}
+								if st.ColumnSweeps[j-lo] != pst.ColumnSweeps[j] {
+									t.Fatalf("width %d: column %d retired at sweep %d, one block at %d",
+										width, j, st.ColumnSweeps[j-lo], pst.ColumnSweeps[j])
+								}
+							}
+							sweeps = max(sweeps, st.Sweeps)
+							converged = converged && st.Converged
+						}
+						if sweeps != pst.Sweeps || converged != pst.Converged {
+							t.Errorf("width %d: groups ran %d sweeps (converged %v), one block %d (converged %v)",
+								width, sweeps, converged, pst.Sweeps, pst.Converged)
+						}
+					}
+				})
 			}
 		}
 	}
