@@ -169,9 +169,9 @@ func BenchmarkDiffusionSyncStep(b *testing.B) {
 // --- BenchmarkDiffuse*: the diffusion engines and their fused kernels ------
 //
 // One full diffusion to convergence per b.N step over the shared
-// quarter-scale graph (~1,000 nodes), 16-d signal. The Parallel engine must
-// beat Asynchronous on wall clock and allocations (tracked in
-// BENCH_diffuse.json via cmd/benchjson).
+// quarter-scale graph (~1,000 nodes), 16-d signal. The Parallel engine's
+// allocation count at paper scale is held to a bar by
+// TestParallelAllocsWithinBars.
 
 // diffuseInput builds the shared diffusion benchmark input.
 func diffuseInput(b *testing.B, dim int) (*graph.Transition, *vecmath.Matrix) {
@@ -278,8 +278,9 @@ func BenchmarkFastNodeScores(b *testing.B) {
 // benchmarkScoreBatch measures the unified request API's multi-column
 // scoring: one ScoreBatch call over batchSize distinct queries per b.N
 // step on the default (Parallel) engine. Compare ns/op ÷ batchSize against
-// BenchmarkFastNodeScores to see the amortization (tracked in
-// BENCH_diffuse.json via cmd/benchjson).
+// BenchmarkFastNodeScores to see the amortization; the paper-scale
+// allocation bars are in TestParallelAllocsWithinBars, and the
+// bulk_diffuse workload of bench/ times the B=256 shape end to end.
 func benchmarkScoreBatch(b *testing.B, batchSize int) {
 	env := benchEnvironment(b)
 	net := core.NewNetwork(env.Graph, env.Bench.Vocabulary())
@@ -349,8 +350,9 @@ func BenchmarkRunQueryGreedyTTL50(b *testing.B) {
 // quarter-scale environment (single filter size, small query set): gossip
 // to quiescence, then routed vs unrouted walks on identical queries. The
 // CI bench-smoke step runs it once per push so the protocol harness and
-// the routing gate stay exercised end to end; the gated numbers live in
-// cmd/benchjson's fanout rows.
+// the routing gate stay exercised end to end; the paper-scale bars on its
+// message and recall ratios are in internal/expt's
+// TestFanoutRoutedBarsAtPaperScale.
 func BenchmarkFanout(b *testing.B) {
 	env := benchEnvironment(b)
 	b.ResetTimer()

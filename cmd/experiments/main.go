@@ -6,7 +6,7 @@
 //	experiments -exp fig3                 # Fig. 3a–d (accuracy vs distance)
 //	experiments -exp table1               # Table I (hop counts)
 //	experiments -exp all                  # everything below, in this order
-//	experiments -exp parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|priority|fanout
+//	experiments -exp parallel|recall|placement|summary|visited|baselines|norm|fanout
 //	experiments -quick                    # scaled-down environment & iterations
 //	experiments -seed 7 -iters 200 -csv   # tuning & CSV output
 package main
@@ -20,7 +20,6 @@ import (
 
 	"diffusearch/internal/core"
 	"diffusearch/internal/expt"
-	"diffusearch/internal/graph"
 	"diffusearch/internal/stats"
 )
 
@@ -42,10 +41,6 @@ var experiments = []experiment{
 	{"visited", (*runner).visited},
 	{"baselines", (*runner).baselines},
 	{"norm", (*runner).norm},
-	{"diffusion", (*runner).diffusion},
-	{"batch", (*runner).batch},
-	{"serve", (*runner).serve},
-	{"priority", (*runner).priority},
 	{"fanout", (*runner).fanout},
 }
 
@@ -273,64 +268,6 @@ func (r *runner) baselines() error {
 	return nil
 }
 
-func (r *runner) diffusion() error {
-	start := time.Now()
-	rows, err := expt.CompareDiffusionEngines(r.env, expt.DiffusionConfig{
-		M: 1000, Alpha: 0.5, Seed: r.seed,
-	})
-	if err != nil {
-		return err
-	}
-	r.emit(fmt.Sprintf("diffusion — engine comparison on identical E0 (M=1000, α=0.5, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatDiffusion(rows))
-	return nil
-}
-
-func (r *runner) batch() error {
-	start := time.Now()
-	rows, err := expt.BatchScaling(r.env, expt.BatchConfig{
-		M: 1000, Alpha: 0.5, Seed: r.seed,
-	})
-	if err != nil {
-		return err
-	}
-	r.emit(fmt.Sprintf("batch — ScoreBatch amortization on the Parallel engine (M=1000, α=0.5, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatBatch(rows))
-	return nil
-}
-
-func (r *runner) serve() error {
-	start := time.Now()
-	rows, err := expt.ServeLoadSweep(r.env, expt.ServeConfig{
-		M: 1000, Alpha: 0.5, Seed: r.seed,
-		QueriesPerClient: r.itersOr(25, 8),
-	})
-	if err != nil {
-		return err
-	}
-	r.emit(fmt.Sprintf("serve — coalescing scheduler vs per-query scoring under closed-loop load (M=1000, α=0.5, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatServe(rows))
-	return nil
-}
-
-func (r *runner) priority() error {
-	start := time.Now()
-	cfg := expt.PriorityConfig{
-		M: 1000, Alpha: 0.5, Seed: r.seed,
-		QueriesPerClient: r.itersOr(24, 8),
-	}
-	if r.quick {
-		cfg.Clients = []int{10}
-	}
-	rows, err := expt.PrioritySweep(r.env, cfg)
-	if err != nil {
-		return err
-	}
-	r.emit(fmt.Sprintf("priority — deadline-aware classes vs FIFO coalescing under mixed 90/10 load (M=1000, α=0.5, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatPriority(rows))
-	return nil
-}
-
 func (r *runner) fanout() error {
 	start := time.Now()
 	cfg := expt.FanoutConfig{
@@ -354,7 +291,6 @@ func (r *runner) norm() error {
 	if err != nil {
 		return err
 	}
-	_ = graph.ColumnStochastic // documented default
 	r.emit("abl-norm — transition normalization (M=100, α=0.5)", expt.FormatLabeledAccuracy(res))
 	return nil
 }

@@ -6,7 +6,7 @@ import "testing"
 // before the environment is built, reads the same on every call, and lists
 // the accepted names in the order -exp all runs them.
 func TestUnknownExperimentError(t *testing.T) {
-	const want = `unknown experiment "topk" (want fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|diffusion|batch|serve|priority|fanout|all)`
+	const want = `unknown experiment "topk" (want fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|fanout|all)`
 	first := run("topk", 42, true, 0, false)
 	second := run("topk", 42, true, 0, false)
 	if first == nil || second == nil {

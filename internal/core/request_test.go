@@ -57,8 +57,9 @@ func TestFastNodeScoresBitCompatibleWithLegacyPPRFilterPath(t *testing.T) {
 func TestScoreBatchMatchesSequentialFastNodeScores(t *testing.T) {
 	// The batch-equivalence property: ScoreBatch over B random queries must
 	// equal B independent single-query sync ScoreBatch calls within 1e-9,
-	// across every engine and worker count. At the tight tolerance used
-	// here all engines land on the same fixed point to well below the bar.
+	// across every engine and worker count, for fewer diffusion messages.
+	// At the tight tolerance used here all engines land on the same fixed
+	// point to well below the bar.
 	f := newFixture(t)
 	f.place(t, 80, 42)
 	if err := f.net.ComputePersonalization(); err != nil {
@@ -78,12 +79,14 @@ func TestScoreBatchMatchesSequentialFastNodeScores(t *testing.T) {
 		queries[j] = q
 	}
 	want := make([][]float64, b)
+	var seqMessages int64
 	for j, q := range queries {
-		s, _, err := f.net.ScoreBatch([][]float64{q}, DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5, Tol: tol})
+		s, st, err := f.net.ScoreBatch([][]float64{q}, DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5, Tol: tol})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[j] = s[0]
+		seqMessages += st.Messages
 	}
 	for _, eng := range []diffuse.Engine{diffuse.EngineSync, diffuse.EngineAsynchronous, diffuse.EngineParallel} {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -101,6 +104,13 @@ func TestScoreBatchMatchesSequentialFastNodeScores(t *testing.T) {
 					t.Fatalf("%v workers=%d query %d: batch differs from sequential single-query scoring by %g (> 1e-9)",
 						eng, workers, j, d)
 				}
+			}
+			// The point of batching: one B-wide diffusion sends each row once
+			// per sweep for all B columns, so it costs fewer messages per
+			// query than B single-query diffusions.
+			if st.Messages >= seqMessages {
+				t.Fatalf("%v workers=%d: batch sent %d messages, B=1 diffusions %d in total",
+					eng, workers, st.Messages, seqMessages)
 			}
 		}
 	}
