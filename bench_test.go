@@ -317,7 +317,12 @@ func BenchmarkScoreBatch64(b *testing.B) { benchmarkScoreBatch(b, 64) }
 // at a width the unit tests do not reach.
 func BenchmarkScoreBatch256(b *testing.B) { benchmarkScoreBatch(b, 256) }
 
-func BenchmarkRunQueryGreedyTTL50(b *testing.B) {
+// benchmarkRunQuery times greedy TTL-50 walks from rotating origins on the
+// quarter-scale environment (gold plus 99 pool documents). With embedding
+// set, candidates are scored from Network.Run's diffused embeddings, the
+// path the bulk_diffuse workload of bench/ walks; otherwise from one
+// precomputed ScoreBatch column.
+func benchmarkRunQuery(b *testing.B, embedding bool) {
 	env := benchEnvironment(b)
 	net := core.NewNetwork(env.Graph, env.Bench.Vocabulary())
 	r := randx.New(5)
@@ -330,21 +335,31 @@ func BenchmarkRunQueryGreedyTTL50(b *testing.B) {
 		b.Fatal(err)
 	}
 	query := env.Bench.Vocabulary().Vector(pair.Query)
-	batch, _, err := net.ScoreBatch([][]float64{query}, core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5})
-	if err != nil {
-		b.Fatal(err)
+	cfg := core.QueryConfig{TTL: 50}
+	if embedding {
+		if _, err := net.Run(core.DiffusionRequest{Alpha: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	} else {
+		batch, _, err := net.ScoreBatch([][]float64{query}, core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Scores = batch[0]
 	}
-	scores := batch[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		origin := i % env.Graph.NumNodes()
-		if _, err := net.RunQuery(origin, query, pair.Gold, core.QueryConfig{
-			TTL: 50, Seed: uint64(i), Scores: scores,
-		}); err != nil {
+		cfg.Seed = uint64(i)
+		if _, err := net.RunQuery(origin, query, pair.Gold, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkRunQueryGreedyTTL50(b *testing.B)    { benchmarkRunQuery(b, false) }
+func BenchmarkRunQueryEmbeddingTTL50(b *testing.B) { benchmarkRunQuery(b, true) }
 
 // BenchmarkFanout runs one bloom-routed fan-out sweep iteration on the
 // quarter-scale environment (single filter size, small query set): gossip

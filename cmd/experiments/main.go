@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -75,13 +76,14 @@ func main() {
 		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	)
 	flag.Parse()
-	if err := run(*exp, *seed, *quick, *iters, *csv); err != nil {
+	if err := run(os.Stdout, os.Stderr, *exp, *seed, *quick, *iters, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
 type runner struct {
+	out   io.Writer
 	env   *expt.Environment
 	quick bool
 	iters int
@@ -89,7 +91,9 @@ type runner struct {
 	seed  uint64
 }
 
-func run(exp string, seed uint64, quick bool, iters int, csv bool) error {
+// run writes the selected tables to out, which is byte-identical for the
+// same flags, and the wall-clock durations to timing.
+func run(out, timing io.Writer, exp string, seed uint64, quick bool, iters int, csv bool) error {
 	todo, err := selectExperiments(exp)
 	if err != nil {
 		return err
@@ -99,32 +103,34 @@ func run(exp string, seed uint64, quick bool, iters int, csv bool) error {
 	if quick {
 		params = expt.ScaledParams(seed, 0.25)
 	}
-	fmt.Printf("# environment: %d nodes, %d-word vocabulary, %d query/gold pairs (seed %d)\n",
+	fmt.Fprintf(out, "# environment: %d nodes, %d-word vocabulary, %d query/gold pairs (seed %d)\n",
 		params.GraphNodes, params.VocabWords, params.NumQueries, seed)
 	env, err := expt.NewEnvironment(params)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# built in %v: %d edges, pool %d docs\n\n",
-		time.Since(start).Round(time.Millisecond), env.Graph.NumEdges(), env.MaxPoolDocs()-1)
+	fmt.Fprintf(timing, "# environment built in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "# built: %d edges, pool %d docs\n\n", env.Graph.NumEdges(), env.MaxPoolDocs()-1)
 
-	r := &runner{env: env, quick: quick, iters: iters, csv: csv, seed: seed}
+	r := &runner{out: out, env: env, quick: quick, iters: iters, csv: csv, seed: seed}
 	for _, e := range todo {
+		start := time.Now()
 		if err := e.run(r); err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
+		fmt.Fprintf(timing, "# %s ran in %v\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
 func (r *runner) emit(title string, t *stats.Table) {
-	fmt.Printf("== %s\n", title)
+	fmt.Fprintf(r.out, "== %s\n", title)
 	if r.csv {
-		fmt.Print(t.CSV())
+		fmt.Fprint(r.out, t.CSV())
 	} else {
-		fmt.Print(t.String())
+		fmt.Fprint(r.out, t.String())
 	}
-	fmt.Println()
+	fmt.Fprintln(r.out)
 }
 
 // figMs returns the document counts per subplot, clamped to the pool.
@@ -137,7 +143,7 @@ func (r *runner) figMs() []int {
 		}
 	}
 	if len(out) < len(all) {
-		fmt.Printf("# note: pool supports only M ≤ %d; larger subplots skipped (use the full-scale env)\n", r.env.MaxPoolDocs())
+		fmt.Fprintf(r.out, "# note: pool supports only M ≤ %d; larger subplots skipped (use the full-scale env)\n", r.env.MaxPoolDocs())
 	}
 	return out
 }
@@ -155,7 +161,6 @@ func (r *runner) itersOr(def, quickDef int) int {
 func (r *runner) fig3() error {
 	subplot := 'a'
 	for _, m := range r.figMs() {
-		start := time.Now()
 		res, err := expt.AccuracyByDistance(r.env, expt.AccuracyConfig{
 			M:          m,
 			Iterations: r.itersOr(200, 40),
@@ -164,15 +169,13 @@ func (r *runner) fig3() error {
 		if err != nil {
 			return err
 		}
-		r.emit(fmt.Sprintf("Fig. 3%c — accuracy vs distance, M=%d (TTL %d, %v)",
-			subplot, m, res.TTL, time.Since(start).Round(time.Millisecond)), expt.FormatAccuracy(res))
+		r.emit(fmt.Sprintf("Fig. 3%c — accuracy vs distance, M=%d (TTL %d)", subplot, m, res.TTL), expt.FormatAccuracy(res))
 		subplot++
 	}
 	return nil
 }
 
 func (r *runner) table1() error {
-	start := time.Now()
 	ms := r.figMs()
 	rows, err := expt.HopCount(r.env, expt.HopCountConfig{
 		Ms:         ms,
@@ -182,8 +185,7 @@ func (r *runner) table1() error {
 	if err != nil {
 		return err
 	}
-	r.emit(fmt.Sprintf("Table I — average hop count (α=0.5, TTL 50, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatHopCount(rows))
+	r.emit("Table I — average hop count (α=0.5, TTL 50)", expt.FormatHopCount(rows))
 	return nil
 }
 
@@ -269,7 +271,6 @@ func (r *runner) baselines() error {
 }
 
 func (r *runner) fanout() error {
-	start := time.Now()
 	cfg := expt.FanoutConfig{
 		M: 500, Alpha: 0.5, Seed: r.seed,
 		Queries: r.itersOr(64, 16),
@@ -281,8 +282,7 @@ func (r *runner) fanout() error {
 	if err != nil {
 		return err
 	}
-	r.emit(fmt.Sprintf("fanout — bloom-routed walk vs unrouted greedy walk on the protocol harness (M=500, α=0.5, TTL 50, %v)",
-		time.Since(start).Round(time.Millisecond)), expt.FormatFanout(rows))
+	r.emit("fanout — bloom-routed walk vs unrouted greedy walk on the protocol harness (M=500, α=0.5, TTL 50)", expt.FormatFanout(rows))
 	return nil
 }
 

@@ -1,14 +1,18 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"testing"
+)
 
 // TestUnknownExperimentError pins the unknown-name error: it is rejected
 // before the environment is built, reads the same on every call, and lists
 // the accepted names in the order -exp all runs them.
 func TestUnknownExperimentError(t *testing.T) {
 	const want = `unknown experiment "topk" (want fig3|table1|parallel|recall|placement|summary|visited|baselines|norm|fanout|all)`
-	first := run("topk", 42, true, 0, false)
-	second := run("topk", 42, true, 0, false)
+	first := run(io.Discard, io.Discard, "topk", 42, true, 0, false)
+	second := run(io.Discard, io.Discard, "topk", 42, true, 0, false)
 	if first == nil || second == nil {
 		t.Fatalf("run accepted an unknown experiment: %v, %v", first, second)
 	}
@@ -17,5 +21,23 @@ func TestUnknownExperimentError(t *testing.T) {
 	}
 	if first.Error() != want {
 		t.Fatalf("error = %s\nwant    %s", first, want)
+	}
+}
+
+// TestStdoutReproducible runs quick Table I twice: every wall-clock
+// duration goes to the timing writer, so the tables are byte-identical.
+func TestStdoutReproducible(t *testing.T) {
+	var outs [2]bytes.Buffer
+	for i := range outs {
+		var timing bytes.Buffer
+		if err := run(&outs[i], &timing, "table1", 42, true, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if timing.Len() == 0 {
+			t.Fatal("no durations written to the timing writer")
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Fatalf("stdout differs between runs:\n%s\n---\n%s", outs[0].String(), outs[1].String())
 	}
 }

@@ -23,10 +23,11 @@ type Policy interface {
 	Select(depth int, candidates []graph.NodeID, score func(graph.NodeID) float64, r *randx.Rand) []graph.NodeID
 }
 
-// GreedyPolicy forwards to the highest-scoring candidates (ties broken by
-// lower node id): the paper's embedding-guided biased walk. Fanout > 1
-// spawns that many parallel walks at the origin (§V-B future work); each
-// walk continues greedily with fanout 1.
+// GreedyPolicy forwards to the highest-scoring candidates, equal scores
+// going to the lower node id: the paper's embedding-guided biased walk.
+// Each candidate is scored once per hop. Fanout > 1 spawns that many
+// parallel walks at the origin (§V-B future work); each walk continues
+// greedily with fanout 1.
 type GreedyPolicy struct {
 	Fanout int // walks spawned at the origin; ≤ 0 treated as 1
 }
@@ -119,19 +120,37 @@ func originFanout(depth, fanout int) int {
 	return fanout
 }
 
-// topByScore returns the k highest-scoring candidates (ties by lower id).
+// topByScore returns the k highest-scoring candidates, higher score first
+// and equal scores by lower node id. It scores each candidate exactly once:
+// k == 1 (every hop past the origin) is one linear argmax, and k > 1 sorts
+// (node, score) pairs.
 func topByScore(candidates []graph.NodeID, score func(graph.NodeID) float64, k int) []graph.NodeID {
-	ranked := make([]graph.NodeID, len(candidates))
-	copy(ranked, candidates)
-	sort.Slice(ranked, func(i, j int) bool {
-		si, sj := score(ranked[i]), score(ranked[j])
-		if si != sj {
-			return si > sj
+	if k == 1 && len(candidates) > 0 {
+		best, top := candidates[0], score(candidates[0])
+		for _, v := range candidates[1:] {
+			if s := score(v); s > top || (s == top && v < best) {
+				best, top = v, s
+			}
 		}
-		return ranked[i] < ranked[j]
-	})
-	if k > len(ranked) {
-		k = len(ranked)
+		return []graph.NodeID{best}
 	}
-	return ranked[:k]
+	type scored struct {
+		v graph.NodeID
+		s float64
+	}
+	ranked := make([]scored, len(candidates))
+	for i, v := range candidates {
+		ranked[i] = scored{v, score(v)}
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].s != ranked[j].s {
+			return ranked[i].s > ranked[j].s
+		}
+		return ranked[i].v < ranked[j].v
+	})
+	out := make([]graph.NodeID, min(k, len(ranked)))
+	for i := range out {
+		out[i] = ranked[i].v
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"diffusearch/internal/diffuse"
 	"diffusearch/internal/graph"
 	"diffusearch/internal/randx"
 	"diffusearch/internal/retrieval"
@@ -46,7 +45,9 @@ func (m VisitedMode) Valid() bool {
 	return m == VisitedNodeMemory || m == VisitedInMessage || m == VisitedNone
 }
 
-// QueryConfig controls one query execution.
+// QueryConfig controls one query execution. Candidates are scored from
+// Scores when it is set, otherwise from the network's diffused embeddings
+// (Network.Run), each node at most once per query.
 type QueryConfig struct {
 	TTL     int         // maximum hops (paper: 50)
 	K       int         // tracked results (paper: top-1); 0 means 1
@@ -58,24 +59,8 @@ type QueryConfig struct {
 	// and simulated time coincide for single walks).
 	Latency sim.LatencyModel
 
-	// FastScores, when true, scores candidates with a single-query
-	// ScoreBatch instead of materialized diffused embeddings. Alpha/Tol
-	// configure the per-query scalar diffusion and must match the intended
-	// filter parameters; Engine selects its diffusion driver and Workers
-	// sizes the Parallel pool. The zero Engine selects
-	// diffuse.EngineParallel (the ScoreBatch default); callers that want
-	// the historical bit-exact scores — or the lowest single-query latency
-	// on few cores, where the sync sweep wins at B=1 — set Engine to
-	// diffuse.EngineSync.
-	FastScores bool
-	Alpha      float64
-	Tol        float64
-	Engine     diffuse.Engine
-	Workers    int
-
-	// Scores, when non-nil, supplies precomputed per-node relevance scores
-	// (e.g. one ScoreBatch column shared by many origins of the same
-	// query). Takes precedence over FastScores and diffused embeddings.
+	// Scores, when non-nil, holds one precomputed relevance score per node,
+	// e.g. a ScoreBatch column shared by many origins of the same query.
 	Scores []float64
 }
 
@@ -142,8 +127,8 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 		return QueryOutcome{}, fmt.Errorf("core: invalid visited mode %d", int(cfg.Visited))
 	}
 
-	// Candidate scoring: precomputed, fast scalar-projection, or
-	// materialized diffused embeddings.
+	// Candidate scoring: precomputed, or diffused embeddings scored lazily
+	// into a per-query memo, since successive hops share neighbours.
 	var score func(graph.NodeID) float64
 	if cfg.Scores != nil {
 		if len(cfg.Scores) != n.g.NumNodes() {
@@ -151,21 +136,17 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 		}
 		s := cfg.Scores
 		score = func(v graph.NodeID) float64 { return s[v] }
-	} else if cfg.FastScores {
-		batch, _, err := n.ScoreBatch([][]float64{query}, DiffusionRequest{
-			Engine: cfg.Engine, Alpha: cfg.Alpha, Tol: cfg.Tol,
-			Workers: cfg.Workers, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return QueryOutcome{}, err
-		}
-		s := batch[0]
-		score = func(v graph.NodeID) float64 { return s[v] }
 	} else {
 		if n.emb == nil {
 			return QueryOutcome{}, ErrNotDiffused
 		}
-		score = func(v graph.NodeID) float64 { return n.scorer.Score(query, n.emb.Row(v)) }
+		memo, have := make([]float64, n.g.NumNodes()), make([]bool, n.g.NumNodes())
+		score = func(v graph.NodeID) float64 {
+			if !have[v] {
+				memo[v], have[v] = n.scorer.Score(query, n.emb.Row(v)), true
+			}
+			return memo[v]
+		}
 	}
 
 	var (

@@ -117,17 +117,19 @@ func TestRunQueryDeterministicForSeed(t *testing.T) {
 }
 
 func TestRunQueryFastScoresMatchesVectorMode(t *testing.T) {
-	// Greedy walks driven by fast scalar scores must traverse the same
-	// path as walks driven by materialized embeddings.
+	// Greedy walks driven by ScoreBatch's scalar scores must traverse the
+	// same path as walks driven by materialized embeddings.
 	f, pair := prepared(t, 50, 0.3, 16)
 	q := f.net.Vocabulary().Vector(pair.Query)
 	slow, err := f.net.RunQuery(3, q, pair.Gold, QueryConfig{TTL: 25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := f.net.RunQuery(3, q, pair.Gold, QueryConfig{
-		TTL: 25, Seed: 1, FastScores: true, Alpha: 0.3, Tol: 1e-10,
-	})
+	batch, _, err := f.net.ScoreBatch([][]float64{q}, DiffusionRequest{Alpha: 0.3, Tol: 1e-10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := f.net.RunQuery(3, q, pair.Gold, QueryConfig{TTL: 25, Seed: 1, Scores: batch[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,22 +224,25 @@ func TestScoreBatchValidation(t *testing.T) {
 }
 
 func TestRunQueryEngineSelectionOnFastScores(t *testing.T) {
-	// The query hot path defaults to the Parallel engine; forcing the sync
-	// engine through QueryConfig must reproduce the legacy walk exactly.
+	// ScoreBatch defaults to the Parallel engine; a walk on its scores must
+	// reproduce the walk on the sync engine's legacy scores exactly.
 	f, pair := prepared(t, 50, 0.3, 46)
 	q := f.net.Vocabulary().Vector(pair.Query)
-	legacy, err := f.net.RunQuery(3, q, pair.Gold, QueryConfig{
-		TTL: 25, Seed: 1, FastScores: true, Alpha: 0.3, Tol: 1e-10, Engine: diffuse.EngineSync,
-	})
-	if err != nil {
-		t.Fatal(err)
+	walk := func(engine diffuse.Engine) QueryOutcome {
+		t.Helper()
+		batch, _, err := f.net.ScoreBatch([][]float64{q}, DiffusionRequest{
+			Engine: engine, Alpha: 0.3, Tol: 1e-10, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := f.net.RunQuery(3, q, pair.Gold, QueryConfig{TTL: 25, Seed: 1, Scores: batch[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	def, err := f.net.RunQuery(3, q, pair.Gold, QueryConfig{
-		TTL: 25, Seed: 1, FastScores: true, Alpha: 0.3, Tol: 1e-10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy, def := walk(diffuse.EngineSync), walk(0)
 	if legacy.Found != def.Found || legacy.HopsToGold != def.HopsToGold || legacy.Visited != def.Visited {
 		t.Fatalf("parallel-scored walk diverged from sync-scored walk: %+v vs %+v", def, legacy)
 	}
