@@ -15,6 +15,7 @@ import (
 	"diffusearch"
 	"diffusearch/internal/core"
 	"diffusearch/internal/diffuse"
+	"diffusearch/internal/embed"
 	"diffusearch/internal/expt"
 	"diffusearch/internal/gengraph"
 	"diffusearch/internal/graph"
@@ -147,6 +148,22 @@ func BenchmarkDot300(b *testing.B) {
 		sink += vecmath.Dot(x, y)
 	}
 	_ = sink
+}
+
+// BenchmarkMineBenchmark mines the paper's workload (1,000 pairs at cosine
+// ≥ 0.6) from the paper-scale vocabulary (15k words, 300-d): the blocked,
+// parallel nearest-neighbour passes that dominate environment set-up.
+func BenchmarkMineBenchmark(b *testing.B) {
+	v, err := diffusearch.NewVocabulary(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := diffusearch.MineWorkload(v, 1000, embed.DefaultGoldThreshold, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkDiffusionSyncStep(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"diffusearch/internal/graph"
 	"diffusearch/internal/randx"
@@ -94,21 +95,23 @@ type QueryOutcome struct {
 }
 
 // queryMsg is the in-flight query message of Fig. 1. Results are carried in
-// the message (per §IV-C); the visited set is carried only in the
-// VisitedInMessage ablation.
+// the message (per §IV-C). In the VisitedInMessage ablation the message
+// also carries the visited set; every branch shares that one set, so it is
+// exactly the set of nodes holding a query state, and the walk reads it
+// from there.
 type queryMsg struct {
 	ttl     int
 	depth   int
 	results *retrieval.TopK
-	visited map[graph.NodeID]struct{} // only for VisitedInMessage
 }
 
 // nodeQueryState is the per-query protocol memory a node keeps in the
-// paper's scheme.
+// paper's scheme. A walk passes a node only a few times, so the neighbour
+// lists stay short and are searched linearly.
 type nodeQueryState struct {
-	parent       graph.NodeID // first neighbour we received the query from (-1 at origin)
-	receivedFrom map[graph.NodeID]struct{}
-	sentTo       map[graph.NodeID]struct{}
+	parent       graph.NodeID   // first neighbour we received the query from (-1 at origin)
+	receivedFrom []graph.NodeID // distinct neighbours the query arrived from
+	sentTo       []graph.NodeID // distinct neighbours the query was forwarded to
 }
 
 // RunQuery executes one decentralized search from origin for the given
@@ -152,7 +155,8 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 	var (
 		sched       sim.Scheduler
 		r           = randx.Derive(cfg.Seed, "query")
-		states      = make(map[graph.NodeID]*nodeQueryState)
+		states      []nodeQueryState                // in visit order
+		stateIndex  = make([]int32, n.g.NumNodes()) // node → 1 + its index in states; 0 when unvisited
 		outcome     = QueryOutcome{Origin: origin, Gold: gold, HopsToGold: -1}
 		outstanding = 0 // response chains the origin still waits for
 		goldHost    = -1
@@ -161,19 +165,15 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 		goldHost = n.HostOf(gold)
 	}
 	merged := retrieval.NewTopK(cfg.K)
-	visited := make(map[graph.NodeID]struct{})
 
+	// stateOf returns u's query state, creating it on u's first visit. The
+	// pointer is valid until the next state is created.
 	stateOf := func(u graph.NodeID) *nodeQueryState {
-		st, ok := states[u]
-		if !ok {
-			st = &nodeQueryState{
-				parent:       -1,
-				receivedFrom: make(map[graph.NodeID]struct{}),
-				sentTo:       make(map[graph.NodeID]struct{}),
-			}
-			states[u] = st
+		if stateIndex[u] == 0 {
+			states = append(states, nodeQueryState{parent: -1})
+			stateIndex[u] = int32(len(states))
 		}
-		return st
+		return &states[stateIndex[u]-1]
 	}
 
 	// respond walks the response back toward the origin along parent
@@ -195,16 +195,12 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 	process = func(u, from graph.NodeID, msg *queryMsg) {
 		st := stateOf(u)
 		if from >= 0 {
-			if _, seen := st.receivedFrom[from]; !seen {
-				st.receivedFrom[from] = struct{}{}
+			if !slices.Contains(st.receivedFrom, from) {
+				st.receivedFrom = append(st.receivedFrom, from)
 			}
 			if st.parent < 0 {
 				st.parent = from
 			}
-		}
-		visited[u] = struct{}{}
-		if msg.visited != nil {
-			msg.visited[u] = struct{}{}
 		}
 
 		// Step 2: check local documents.
@@ -224,8 +220,15 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 		neighbors := n.g.Neighbors(u)
 		candidates := make([]graph.NodeID, 0, len(neighbors))
 		for _, v := range neighbors {
-			if excluded(v, st, msg, cfg.Visited) {
-				continue
+			switch cfg.Visited {
+			case VisitedNodeMemory:
+				if slices.Contains(st.receivedFrom, v) || slices.Contains(st.sentTo, v) {
+					continue
+				}
+			case VisitedInMessage:
+				if stateIndex[v] != 0 {
+					continue
+				}
 			}
 			candidates = append(candidates, v)
 		}
@@ -246,11 +249,10 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 		}
 		// Step 5a: forward. Branching clones the message (parallel walks).
 		for i, v := range targets {
-			st.sentTo[v] = struct{}{}
-			next := &queryMsg{ttl: msg.ttl, depth: msg.depth + 1, results: msg.results}
-			if msg.visited != nil {
-				next.visited = msg.visited // shared set: branches learn from each other
+			if !slices.Contains(st.sentTo, v) {
+				st.sentTo = append(st.sentTo, v)
 			}
+			next := &queryMsg{ttl: msg.ttl, depth: msg.depth + 1, results: msg.results}
 			if i > 0 {
 				next.results = msg.results.Clone()
 				outstanding++
@@ -264,9 +266,6 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 	}
 
 	first := &queryMsg{ttl: cfg.TTL, depth: 0, results: retrieval.NewTopK(cfg.K)}
-	if cfg.Visited == VisitedInMessage {
-		first.visited = make(map[graph.NodeID]struct{})
-	}
 	outstanding = 1
 	process(origin, -1, first)
 	sched.Run()
@@ -275,7 +274,7 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 	}
 
 	outcome.Duration = sched.Now()
-	outcome.Visited = len(visited)
+	outcome.Visited = len(states)
 	outcome.Results = merged.Results()
 	if gold >= 0 {
 		for _, res := range outcome.Results {
@@ -291,21 +290,4 @@ func (n *Network) RunQuery(origin graph.NodeID, query []float64, gold retrieval.
 		outcome.HopsToGold = -1
 	}
 	return outcome, nil
-}
-
-// excluded applies the visited-avoidance rule of the configured mode.
-func excluded(v graph.NodeID, st *nodeQueryState, msg *queryMsg, mode VisitedMode) bool {
-	switch mode {
-	case VisitedNodeMemory:
-		if _, ok := st.receivedFrom[v]; ok {
-			return true
-		}
-		_, ok := st.sentTo[v]
-		return ok
-	case VisitedInMessage:
-		_, ok := msg.visited[v]
-		return ok
-	default: // VisitedNone
-		return false
-	}
 }

@@ -32,6 +32,16 @@ const DefaultGoldThreshold = 0.6
 // unassigned neighbour has cosine ≥ minCos, in which case that neighbour
 // becomes its gold document. All remaining words form the irrelevant pool.
 //
+// The visit runs in blocks: the next nnBlock words still unassigned share
+// one NearestNeighbors pass over the words unassigned at the block's start,
+// then are taken in order. A word assigned since then is skipped. A word
+// whose precomputed neighbour is still unassigned takes it unchanged: the
+// unassigned set only shrinks, so the maximum over the larger set, still
+// present in the smaller one, is the maximum there too, and a lower-id tie
+// in the smaller set would have won in the larger. Otherwise the word is
+// rescanned alone. The pairs are therefore exactly those of visiting one
+// word at a time, cosines and ties included.
+//
 // It returns an error when fewer than numQueries pairs can be mined, since
 // a short workload would silently weaken the experiments.
 func MineBenchmark(v *Vocabulary, numQueries int, minCos float64, seed uint64) (*Benchmark, error) {
@@ -47,20 +57,34 @@ func MineBenchmark(v *Vocabulary, numQueries int, minCos float64, seed uint64) (
 	skip := func(u WordID) bool { return assigned[u] }
 
 	pairs := make([]QueryPair, 0, numQueries)
-	for _, w := range order {
-		if len(pairs) == numQueries {
-			break
+	block := make([]WordID, 0, nnBlock)
+	nn, cos := make([]WordID, nnBlock), make([]float64, nnBlock)
+	for next := 0; next < len(order) && len(pairs) < numQueries; {
+		block = block[:0]
+		for ; next < len(order) && len(block) < nnBlock; next++ {
+			if w := order[next]; !assigned[w] {
+				block = append(block, w)
+			}
 		}
-		if assigned[w] {
-			continue
+		v.NearestNeighbors(block, skip, nn[:len(block)], cos[:len(block)])
+		for j, w := range block {
+			if len(pairs) == numQueries {
+				break
+			}
+			if assigned[w] {
+				continue
+			}
+			gold, c := nn[j], cos[j]
+			if gold >= 0 && assigned[gold] {
+				gold, c = v.NearestNeighbor(w, skip)
+			}
+			if gold < 0 || c < minCos {
+				continue
+			}
+			assigned[w] = true
+			assigned[gold] = true
+			pairs = append(pairs, QueryPair{Query: w, Gold: gold, Cos: c})
 		}
-		nn, cos := v.NearestNeighbor(w, skip)
-		if nn < 0 || cos < minCos {
-			continue
-		}
-		assigned[w] = true
-		assigned[nn] = true
-		pairs = append(pairs, QueryPair{Query: w, Gold: nn, Cos: cos})
 	}
 	if len(pairs) < numQueries {
 		return nil, fmt.Errorf("embed: mined only %d/%d pairs at threshold %v; grow the vocabulary or lower the threshold",

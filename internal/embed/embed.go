@@ -9,7 +9,9 @@ package embed
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"diffusearch/internal/randx"
 	"diffusearch/internal/vecmath"
@@ -134,22 +136,86 @@ func (v *Vocabulary) Cosine(a, b WordID) float64 {
 	return vecmath.Dot(v.vecs.Row(a), v.vecs.Row(b))
 }
 
+// nnBlock is the number of query words a NearestNeighbors pass scores per
+// streamed vocabulary row: 32 query vectors of the paper's 300 dimensions
+// (75 KB) stay cache-resident while the vocabulary streams past them.
+const nnBlock = 32
+
 // NearestNeighbor returns the word with the highest cosine to w, skipping w
-// itself and any word for which skip returns true. It returns (-1, 0) when
-// every other word is skipped. skip may be nil.
+// itself and any word for which skip returns true; equal cosines go to the
+// lower word id. It returns (-1, 0) when every other word is skipped. skip
+// may be nil. It is the one-word case of NearestNeighbors.
 func (v *Vocabulary) NearestNeighbor(w WordID, skip func(WordID) bool) (WordID, float64) {
-	best, bestCos := -1, -2.0
-	wv := v.vecs.Row(w)
-	for u := 0; u < v.Len(); u++ {
-		if u == w || (skip != nil && skip(u)) {
-			continue
+	nn, cos := []WordID{0}, []float64{0}
+	v.NearestNeighbors([]WordID{w}, skip, nn, cos)
+	return nn[0], cos[0]
+}
+
+// NearestNeighbors stores NearestNeighbor(ws[j], skip) into nn[j], cos[j]
+// for every j, streaming the vocabulary once per block of nnBlock words.
+// The rows are split into one contiguous chunk per runtime.GOMAXPROCS(0)
+// worker, so skip is called concurrently and must only read shared state.
+//
+// The answers are exactly the one-word scan's: vecmath.DotColumns keeps
+// Dot's element order, so every cosine is bit-identical, and the tie rule
+// (highest cosine, then lowest id) holds within a chunk, which scans rows
+// in ascending order and replaces its winner only on a strictly higher
+// cosine, and across chunks, which are reduced in ascending row order
+// under the same strict comparison.
+func (v *Vocabulary) NearestNeighbors(ws []WordID, skip func(WordID) bool, nn []WordID, cos []float64) {
+	if len(nn) != len(ws) || len(cos) != len(ws) {
+		panic(fmt.Sprintf("embed: NearestNeighbors of %d words into %d/%d slots", len(ws), len(nn), len(cos)))
+	}
+	for lo := 0; lo < len(ws); lo += nnBlock {
+		hi := min(lo+nnBlock, len(ws))
+		v.nearestBlock(ws[lo:hi], skip, nn[lo:hi], cos[lo:hi])
+	}
+}
+
+// nearestBlock is one NearestNeighbors pass over the vocabulary for a block
+// of at most nnBlock words.
+func (v *Vocabulary) nearestBlock(ws []WordID, skip func(WordID) bool, nn []WordID, cos []float64) {
+	qs := make([][]float64, len(ws))
+	for j, w := range ws {
+		qs[j] = v.vecs.Row(w)
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), v.Len()))
+	best := make([]WordID, workers*len(ws))
+	bestCos := make([]float64, workers*len(ws))
+	scan := func(c int) {
+		best, bestCos := best[c*len(ws):(c+1)*len(ws)], bestCos[c*len(ws):(c+1)*len(ws)]
+		for j := range best {
+			best[j], bestCos[j] = -1, -2
 		}
-		if c := vecmath.Dot(wv, v.vecs.Row(u)); c > bestCos {
-			best, bestCos = u, c
+		dots := make([]float64, len(ws))
+		for u := c * v.Len() / workers; u < (c+1)*v.Len()/workers; u++ {
+			if skip != nil && skip(u) {
+				continue
+			}
+			vecmath.DotColumns(dots, qs, v.vecs.Row(u))
+			for j, d := range dots {
+				if d > bestCos[j] && u != ws[j] {
+					best[j], bestCos[j] = u, d
+				}
+			}
 		}
 	}
-	if best < 0 {
-		return -1, 0
+	var wg sync.WaitGroup
+	for c := 1; c < workers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scan(c)
+		}()
 	}
-	return best, bestCos
+	scan(0)
+	wg.Wait()
+	for j := range ws {
+		nn[j], cos[j] = -1, 0
+		for c := 0; c < workers; c++ {
+			if u, d := best[c*len(ws)+j], bestCos[c*len(ws)+j]; u >= 0 && (nn[j] < 0 || d > cos[j]) {
+				nn[j], cos[j] = u, d
+			}
+		}
+	}
 }
