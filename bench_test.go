@@ -329,9 +329,9 @@ func BenchmarkScoreBatch8(b *testing.B)  { benchmarkScoreBatch(b, 8) }
 func BenchmarkScoreBatch64(b *testing.B) { benchmarkScoreBatch(b, 64) }
 
 // BenchmarkScoreBatch256 drives one wide batch through the sweep driver:
-// its columns retire on different sweeps, so the active block is repacked
-// mid-call. Under -benchtime 1x this doubles as the CI smoke of retirement
-// at a width the unit tests do not reach.
+// its columns retire on different sweeps, so the active block is compacted
+// in place mid-call. Under -benchtime 1x this doubles as the CI smoke of
+// retirement at a width the unit tests do not reach.
 func BenchmarkScoreBatch256(b *testing.B) { benchmarkScoreBatch(b, 256) }
 
 // benchmarkRunQuery times greedy TTL-50 walks from rotating origins on the

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"diffusearch/internal/embed"
 	"diffusearch/internal/graph"
@@ -42,6 +43,7 @@ type Network struct {
 	hostOf map[retrieval.DocID]graph.NodeID // inverse of the placement
 
 	perso *vecmath.Matrix // E0, one personalization vector per node
+	hosts []int           // rows of perso with a nonzero value; built with it
 	emb   *vecmath.Matrix // diffused E (vector mode); nil until diffusion
 }
 
@@ -117,7 +119,7 @@ func (n *Network) PlaceDocuments(docs []retrieval.DocID, hosts []graph.NodeID) e
 		n.hostOf[d] = u
 		n.docsAt[u].Add(d)
 	}
-	n.perso = nil
+	n.perso, n.hosts = nil, nil
 	n.emb = nil
 	return nil
 }
@@ -129,7 +131,7 @@ func (n *Network) ClearDocuments() {
 		n.docsAt[u] = retrieval.NewLocalIndex(n.vocab, nil)
 	}
 	n.hostOf = make(map[retrieval.DocID]graph.NodeID)
-	n.perso = nil
+	n.perso, n.hosts = nil, nil
 	n.emb = nil
 }
 
@@ -149,17 +151,23 @@ func (n *Network) DocsAt(u graph.NodeID) []retrieval.DocID { return n.docsAt[u].
 func (n *Network) NumDocuments() int { return len(n.hostOf) }
 
 // ComputePersonalization builds E0: one summarized personalization vector
-// per node (eq. 3 for mode "sum").
+// per node (eq. 3 for mode "sum"). It also lists the rows holding a nonzero
+// value — in practice the nodes that store documents — which are the only
+// rows a query projection has to compute (see ScoreBatch).
 func (n *Network) ComputePersonalization() error {
 	perso := vecmath.NewMatrix(n.g.NumNodes(), n.vocab.Dim())
+	var hosts []int
 	for u := 0; u < n.g.NumNodes(); u++ {
 		v, err := n.docsAt[u].SummarizedPersonalization(n.summarization)
 		if err != nil {
 			return err
 		}
 		perso.SetRow(u, v)
+		if slices.ContainsFunc(v, func(x float64) bool { return x != 0 }) {
+			hosts = append(hosts, u)
+		}
 	}
-	n.perso = perso
+	n.perso, n.hosts = perso, hosts
 	n.emb = nil
 	return nil
 }

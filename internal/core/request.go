@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 
 	"diffusearch/internal/diffuse"
 	"diffusearch/internal/graph"
@@ -98,10 +101,14 @@ func (r DiffusionRequest) params() diffuse.Params {
 	return diffuse.Params{Alpha: r.Alpha, Tol: r.Tol, MaxSweeps: r.MaxSweeps, Workers: r.Workers, Observe: r.Observer}
 }
 
+// projectMinRange is the fewest host rows one projection range takes.
+const projectMinRange = 32
+
 // projectQueries builds the n×B relevance signal x_j[v] = e_qj · E0[v] that
-// ScoreBatch diffuses (the linearity trick; see ScoreBatch). Requires the
-// DotProduct scorer and computed personalization.
-func (n *Network) projectQueries(queries [][]float64) (*vecmath.Matrix, error) {
+// ScoreBatch diffuses, computing only the host rows (see ScoreBatch). A
+// zero E0 row keeps the +0 of the fresh matrix, which is what its dot
+// product with a finite query gives.
+func (n *Network) projectQueries(queries [][]float64, workers int) (*vecmath.Matrix, error) {
 	if n.perso == nil {
 		return nil, ErrNoPersonalization
 	}
@@ -113,12 +120,32 @@ func (n *Network) projectQueries(queries [][]float64) (*vecmath.Matrix, error) {
 		if len(q) != dim {
 			return nil, fmt.Errorf("core: query %d has %d dims, vocabulary has %d", j, len(q), dim)
 		}
+		for i, v := range q {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: query %d has non-finite value %v in dimension %d", j, v, i)
+			}
+		}
 	}
-	nn := n.g.NumNodes()
-	x := vecmath.NewMatrix(nn, len(queries))
-	for u := 0; u < nn; u++ {
-		vecmath.DotColumns(x.Row(u), queries, n.perso.Row(u))
+	x := vecmath.NewMatrix(n.g.NumNodes(), len(queries))
+	project := func(rows []int) {
+		for _, u := range rows {
+			vecmath.DotColumns(x.Row(u), queries, n.perso.Row(u))
+		}
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	parts := max(1, min(workers, len(n.hosts)/projectMinRange))
+	var wg sync.WaitGroup
+	wg.Add(parts - 1)
+	for p := 1; p < parts; p++ {
+		go func() {
+			defer wg.Done()
+			project(n.hosts[p*len(n.hosts)/parts : (p+1)*len(n.hosts)/parts])
+		}()
+	}
+	project(n.hosts[:len(n.hosts)/parts])
+	wg.Wait()
 	return x, nil
 }
 
@@ -175,10 +202,18 @@ func (n *Network) Run(req DiffusionRequest) (diffuse.Stats, error) {
 // and early-terminated columns (see Stats.ColumnSweeps) stop costing work
 // while slower ones finish.
 //
-// Requires the DotProduct scorer and computed personalization. Tol 0
-// selects DefaultScoreTol on every engine.
+// The projection computes only the E0 rows that hold a nonzero value (the
+// nodes storing documents); the rest of x is zero. Those rows are split
+// into contiguous ranges of at least projectMinRange rows over up to
+// req.Workers goroutines (0 means GOMAXPROCS), so a small network projects
+// on the caller alone. Each row is one vecmath.DotColumns call, so the
+// result is bit-identical to projecting every row.
+//
+// Requires the DotProduct scorer and computed personalization, and finite
+// queries: a NaN or ±Inf query value is an error naming the query and the
+// dimension. Tol 0 selects DefaultScoreTol on every engine.
 func (n *Network) ScoreBatch(queries [][]float64, req DiffusionRequest) ([][]float64, diffuse.Stats, error) {
-	x, err := n.projectQueries(queries)
+	x, err := n.projectQueries(queries, req.Workers)
 	if err != nil {
 		return nil, diffuse.Stats{}, err
 	}

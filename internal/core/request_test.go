@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"diffusearch/internal/diffuse"
@@ -208,6 +210,14 @@ func TestScoreBatchValidation(t *testing.T) {
 	}
 	if _, _, err := f.net.ScoreBatch([][]float64{f.net.Vocabulary().Vector(0)}, DiffusionRequest{Alpha: 0}); err == nil {
 		t.Fatal("alpha=0 must error")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := vecmath.Clone(f.net.Vocabulary().Vector(1))
+		q[5] = bad
+		_, _, err := f.net.ScoreBatch([][]float64{f.net.Vocabulary().Vector(0), q}, DiffusionRequest{Alpha: 0.5})
+		if err == nil || !strings.Contains(err.Error(), "query 1") || !strings.Contains(err.Error(), "dimension 5") {
+			t.Fatalf("query value %v: want an error naming query 1 and dimension 5, got %v", bad, err)
+		}
 	}
 	scores, st, err := f.net.ScoreBatch(nil, DiffusionRequest{Alpha: 0.5})
 	if err != nil || len(scores) != 0 || !st.Converged {

@@ -12,8 +12,9 @@ import (
 // one update catalogued by the PPR survey, arXiv 2403.05198). sweepRun
 // owns everything that does not depend on that order: the compact block
 // of active columns, the residual merge, Stats, the Observer call,
-// retirement and repacking, quiescence, and the no-convergence exit. An
-// engine supplies its visit order as the per-sweep body handed to drive:
+// retirement and in-place compaction, quiescence, and the no-convergence
+// exit. An engine supplies its visit order as the per-sweep body handed to
+// drive:
 //
 //   - SynchronousColumns: every node from the previous sweep's values, with
 //     the unfused Zero+ApplyRow+AXPY update that keeps ppr.PPRFilter's
@@ -34,9 +35,10 @@ type sweepRun struct {
 	sweeps []int
 	// cur is the active block's iterate, n×len(act); next is its double
 	// buffer, nil for the in-place engines. e0 is the block's
-	// personalization: the input matrix itself until the first retirement
-	// repacks the block, which materializes the surviving columns.
+	// personalization: the input matrix itself until the first retirement,
+	// which copies it (ownE0) before compacting it with cur.
 	cur, next, e0 *vecmath.Matrix
+	ownE0         bool
 	// res[w][k] is worker w's residual maximum for active slot k over the
 	// sweep in progress — the cr argument of vecmath.ResidMax*. One slice
 	// per worker so goroutines never share a residual slot; drive merges
@@ -132,7 +134,13 @@ func (r *sweepRun) drive(p Params, thresh float64, maxSweeps int, body func() (v
 }
 
 // retireSweep retires every active slot whose merged residual in cr
-// dropped to thresh and repacks the block around the survivors.
+// dropped to thresh and compacts the block in place around the survivors.
+// The first compaction copies e0 so the input signal stays read-only.
+// next only narrows: its stale values are never read, because every body
+// writes a next row before reading it within the sweep (SynchronousColumns
+// writes every row; ParallelColumns writes, then reads, only frontier rows
+// and swaps buffers only on a full round; the in-place orders have no
+// next).
 func (r *sweepRun) retireSweep(cr []float64, thresh float64, sweep int) {
 	keep := make([]int, 0, len(cr))
 	for k, v := range cr {
@@ -145,15 +153,21 @@ func (r *sweepRun) retireSweep(cr []float64, thresh float64, sweep int) {
 	if len(keep) == len(cr) {
 		return
 	}
-	act := make([]int, len(keep))
 	for i, k := range keep {
-		act[i] = r.act[k]
+		r.act[i] = r.act[k]
 	}
-	r.act = act
-	r.cur = vecmath.SelectColumns(r.cur, keep)
-	r.e0 = vecmath.SelectColumns(r.e0, keep)
+	r.act = r.act[:len(keep)]
+	if len(keep) == 0 {
+		return
+	}
+	if !r.ownE0 {
+		r.e0 = r.e0.Clone()
+		r.ownE0 = true
+	}
+	r.cur.CompactColumns(keep)
+	r.e0.CompactColumns(keep)
 	if r.next != nil {
-		r.next = vecmath.NewMatrix(r.cur.Rows(), len(keep))
+		r.next.Narrow(len(keep))
 	}
 	for w := range r.res {
 		r.res[w] = r.res[w][:len(keep)]
@@ -168,11 +182,16 @@ func (r *sweepRun) retireAll(sweep int) {
 	r.act = nil
 }
 
-// finalize retires active slot k at sweep: its column of cur becomes the
-// output column and sweep its Stats.ColumnSweeps entry.
+// finalize retires active slot k at sweep: its column of cur is written
+// straight into the output column and sweep becomes its
+// Stats.ColumnSweeps entry.
 func (r *sweepRun) finalize(k, sweep int) {
 	orig := r.act[k]
-	r.out.SetColumn(orig, r.cur.Column(k))
+	out, cur := r.out.Data(), r.cur.Data()
+	ow, cw := r.out.Cols(), r.cur.Cols()
+	for i := 0; i < r.out.Rows(); i++ {
+		out[i*ow+orig] = cur[i*cw+k]
+	}
 	r.sweeps[orig] = sweep
 }
 

@@ -99,18 +99,37 @@ func (m *Matrix) SetColumn(j int, v []float64) {
 	}
 }
 
-// SelectColumns gathers the given columns of m into a fresh compact matrix
-// (out column k holds m column cols[k]). Used by the column-blocked
-// diffusion kernels to repack still-active signal columns after some
-// columns terminate early.
-func SelectColumns(m *Matrix, cols []int) *Matrix {
-	out := NewMatrix(m.rows, len(cols))
+// CompactColumns keeps the given columns of m in place: afterwards m is
+// rows×len(keep) over its own storage and its column k holds what column
+// keep[k] held. keep must be strictly increasing. Each value moves to an
+// index no higher than its old one (i·len(keep)+k ≤ i·cols+keep[k]), so a
+// front-to-back pass never reads a value it has already overwritten, even
+// where a row's new span overlaps an earlier row's old one.
+func (m *Matrix) CompactColumns(keep []int) {
+	for k, j := range keep {
+		if j < k || j >= m.cols || (k > 0 && j <= keep[k-1]) {
+			panic(fmt.Sprintf("vecmath: CompactColumns keep %v not increasing within %d columns", keep, m.cols))
+		}
+	}
+	w := len(keep)
 	for i := 0; i < m.rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		for k, j := range cols {
+		src := m.data[i*m.cols : (i+1)*m.cols]
+		dst := m.data[i*w : (i+1)*w]
+		for k, j := range keep {
 			dst[k] = src[j]
 		}
 	}
-	return out
+	m.cols = w
+	m.data = m.data[:m.rows*w]
+}
+
+// Narrow shrinks m to rows×cols over its own storage without moving any
+// value, so its contents afterwards are unspecified. It is for scratch
+// buffers whose every row is written before it is read.
+func (m *Matrix) Narrow(cols int) {
+	if cols < 0 || cols > m.cols {
+		panic(fmt.Sprintf("vecmath: Narrow to %d columns from %d", cols, m.cols))
+	}
+	m.cols = cols
+	m.data = m.data[:m.rows*cols]
 }

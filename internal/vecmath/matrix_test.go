@@ -107,22 +107,64 @@ func TestMatrixColumnOps(t *testing.T) {
 	m.Column(2)
 }
 
-func TestSelectColumns(t *testing.T) {
-	m := NewMatrix(2, 3)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			m.Set(i, j, float64(10*i+j))
+func TestCompactColumns(t *testing.T) {
+	// Every keep set of a 5×4 matrix: the compacted matrix must equal a
+	// gather into fresh storage, with the old storage reused. Rows 1..4
+	// write into spans that the previous rows' old values occupied, so a
+	// pass that read an overwritten value would show here.
+	const rows, cols = 5, 4
+	for mask := 0; mask < 1<<cols; mask++ {
+		var keep []int
+		for j := 0; j < cols; j++ {
+			if mask&(1<<j) != 0 {
+				keep = append(keep, j)
+			}
+		}
+		m := NewMatrix(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				m.Set(i, j, float64(10*i+j))
+			}
+		}
+		base := &m.Data()[0]
+		m.CompactColumns(keep)
+		if m.Rows() != rows || m.Cols() != len(keep) || len(m.Data()) != rows*len(keep) {
+			t.Fatalf("keep %v: shape %dx%d, %d values", keep, m.Rows(), m.Cols(), len(m.Data()))
+		}
+		for i := 0; i < rows; i++ {
+			for k, j := range keep {
+				if got, want := m.At(i, k), float64(10*i+j); got != want {
+					t.Fatalf("keep %v: (%d,%d) = %v, want %v", keep, i, k, got, want)
+				}
+			}
+		}
+		if len(keep) > 0 && &m.Data()[0] != base {
+			t.Fatalf("keep %v: compaction moved the storage", keep)
 		}
 	}
-	out := SelectColumns(m, []int{2, 0})
-	if out.Rows() != 2 || out.Cols() != 2 {
-		t.Fatalf("shape %dx%d", out.Rows(), out.Cols())
+	for _, bad := range [][]int{{1, 1}, {2, 0}, {-1}, {4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("keep %v must panic", bad)
+				}
+			}()
+			NewMatrix(2, 4).CompactColumns(bad)
+		}()
 	}
-	if out.At(0, 0) != 2 || out.At(0, 1) != 0 || out.At(1, 0) != 12 || out.At(1, 1) != 10 {
-		t.Fatalf("gather wrong: %v", out.Data())
+}
+
+func TestNarrow(t *testing.T) {
+	m := NewMatrix(3, 4)
+	base := &m.Data()[0]
+	m.Narrow(2)
+	if m.Rows() != 3 || m.Cols() != 2 || len(m.Row(2)) != 2 || &m.Data()[0] != base {
+		t.Fatalf("Narrow: shape %dx%d, storage moved %v", m.Rows(), m.Cols(), &m.Data()[0] != base)
 	}
-	out.Set(0, 0, 99)
-	if m.At(0, 2) != 2 {
-		t.Fatal("SelectColumns must copy, not alias")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("widening must panic")
+		}
+	}()
+	m.Narrow(3)
 }
